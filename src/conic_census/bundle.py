@@ -23,15 +23,6 @@ class BinaryForm:
             raise ValueError("coefficient count must be degree + 1")
 
 
-def bf_from_coeffs(F, degree, coeffs):
-    return BinaryForm(degree, tuple(coeffs))
-
-
-def bf_affine(form):
-    """The dehomogenization f(1, t) as a polynomial tuple."""
-    return form.coeffs
-
-
 def bf_is_zero(F, form):
     return all(c == F.zero for c in form.coeffs)
 

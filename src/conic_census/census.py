@@ -278,14 +278,14 @@ def predict(b, cv, d, e):
     return main, sqrt_power(q, d * e)
 
 
-def compare_table(b, cv, d, e_list, budget=None, jobs=1):
+def compare_table(b, cv, d, e_list, budget=None):
     """Predicted versus enumerated counts, one row per height."""
     rows = []
     for e in e_list:
         main, err = predict(b, cv, d, e)
-        mf = sum(linsys.fiberfree_count(b, D, budget=budget, jobs=jobs)
+        mf = sum(linsys.fiberfree_count(b, D, budget=budget)
                  for D in picard.classes_of_type(b, d, e))
-        m = linsys.prime_count(b, d, e, budget=budget, jobs=jobs)
+        m = linsys.prime_count(b, d, e, budget=budget)
         rows.append({
             "d": d,
             "e": e,

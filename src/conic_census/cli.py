@@ -3,14 +3,17 @@
 Tasks: classify (singular-fiber catalog), predict (exact constants), enumerate
 (per-class dimensions and counts), compare (predicted versus enumerated), zeta
 (closed form and Euler-product truncations).  Reports are deterministic: same
-config, same bytes, independent of --jobs.  Every number is an exact integer,
+config, same bytes.  Every number is an exact integer,
 an exact "num/den" string, or a decimal string tagged with its precision and
 produced by integer square roots, never binary floats.  --timings adds
-wall-clock data and knowingly gives up byte-determinism.
+wall-clock data and knowingly gives up byte-determinism.  --jobs is accepted
+for compatibility and has no effect: every scan runs in one thread.
 
 Exit codes: 0 success, 2 bad config, 3 refused enumeration (budget exhausted
-or a fiber degree the class lattice cannot represent); refusals that strike
-mid-run leave the finished heights in the report, flagged, never truncated.
+or a fiber degree the class lattice cannot represent), 4 internal check
+failed (an engine consistency assertion; one stderr line, no report);
+refusals that strike mid-run leave the finished heights in the report,
+flagged, never truncated.
 """
 
 import argparse
@@ -271,7 +274,7 @@ def _task_predict(cfg):
     return results, 0
 
 
-def _task_enumerate(cfg, jobs):
+def _task_enumerate(cfg):
     b, prm = cfg.bundle, cfg.params
     d, budget = prm["d"], prm["budget"]
     status = 0
@@ -282,9 +285,9 @@ def _task_enumerate(cfg, jobs):
                "classes": [{"class": _class_obj(b.field, D),
                             "dim": linsys.section_space(b, D).dim} for D in classes]}
         try:
-            row["M_f"] = sum(linsys.fiberfree_count(b, D, budget=budget, jobs=jobs)
+            row["M_f"] = sum(linsys.fiberfree_count(b, D, budget=budget)
                              for D in classes)
-            row["M"] = linsys.prime_count(b, d, e, budget=budget, jobs=jobs)
+            row["M"] = linsys.prime_count(b, d, e, budget=budget)
         except (EnumerationBudgetExceeded, OddDegreeUnsupported) as exc:
             row["refused"] = str(exc)
             status = 3
@@ -293,14 +296,14 @@ def _task_enumerate(cfg, jobs):
             "heights": heights, "partial": status != 0}, status
 
 
-def _task_compare(cfg, jobs):
+def _task_compare(cfg):
     b, cv, prm = cfg.bundle, cfg.curve, cfg.params
     d, budget, prec = prm["d"], prm["budget"], prm["precision"]
     status = 0
     rows = []
     for e in prm["e_list"]:
         try:
-            row = census.compare_table(b, cv, d, (e,), budget=budget, jobs=jobs)[0]
+            row = census.compare_table(b, cv, d, (e,), budget=budget)[0]
         except (EnumerationBudgetExceeded, OddDegreeUnsupported) as exc:
             main, err = census.predict(b, cv, d, e)
             rows.append({"d": d, "e": e, "predicted": _sqrt_obj(main, prec),
@@ -338,7 +341,7 @@ def _task_zeta(cfg):
     return results, 0
 
 
-def run_report(cfg, jobs=1, with_timings=False):
+def run_report(cfg, with_timings=False):
     """Execute the configured task; return (report document, exit status)."""
     start = time.monotonic()
     if cfg.task == "classify":
@@ -346,9 +349,9 @@ def run_report(cfg, jobs=1, with_timings=False):
     elif cfg.task == "predict":
         results, status = _task_predict(cfg)
     elif cfg.task == "enumerate":
-        results, status = _task_enumerate(cfg, jobs)
+        results, status = _task_enumerate(cfg)
     elif cfg.task == "compare":
-        results, status = _task_compare(cfg, jobs)
+        results, status = _task_compare(cfg)
     else:
         results, status = _task_zeta(cfg)
     doc = {"config": cfg.resolved, "task": cfg.task, "results": results}
@@ -400,7 +403,8 @@ def main(argv=None):
     ap.add_argument("--format", choices=FORMATS, help="override the output format")
     ap.add_argument("--budget", type=int, help="override the enumeration step budget")
     ap.add_argument("--precision", type=int, help="override decimal rendering digits")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     ap.add_argument("--timings", action="store_true",
                     help="append wall-clock timings (breaks byte-determinism)")
     args = ap.parse_args(argv)
@@ -417,7 +421,7 @@ def main(argv=None):
         return 2
     try:
         cfg = parse_config(json.dumps(_apply_overrides(doc, args)))
-        report, status = run_report(cfg, jobs=max(1, args.jobs), with_timings=args.timings)
+        report, status = run_report(cfg, with_timings=args.timings)
     except ConfigError as exc:
         print(f"config error at {exc.path}: {exc.reason}", file=sys.stderr)
         return 2
@@ -428,6 +432,9 @@ def main(argv=None):
     except (EnumerationBudgetExceeded, OddDegreeUnsupported) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 4
     text_out = render_csv(report) if cfg.params["format"] == "csv" else render_json(report)
     if cfg.params["output_path"]:
         with open(cfg.params["output_path"], "w", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ that model covers the half-integer dprime classes of odd fiber degree.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,30 +29,6 @@ DEFAULT_BUDGET = 10 ** 8
 # --- linear algebra over a field object ---
 
 
-def _rref(F, rows):
-    """Reduced row echelon form; returns (rows, pivots) with zero rows dropped."""
-    ech, piv = [], []
-    for row in rows:
-        row = list(row)
-        for r, pc in zip(ech, piv):
-            c = row[pc]
-            if c != F.zero:
-                row = [F.sub(x, F.mul(c, y)) for x, y in zip(row, r)]
-        lead = next((i for i, c in enumerate(row) if c != F.zero), None)
-        if lead is None:
-            continue
-        inv = F.inv(row[lead])
-        row = [F.mul(inv, c) for c in row]
-        for r, pc in zip(ech, piv):
-            c = r[lead]
-            if c != F.zero:
-                r[:] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
-        ech.append(row)
-        piv.append(lead)
-    order = sorted(range(len(piv)), key=lambda i: piv[i])
-    return [ech[i] for i in order], [piv[i] for i in order]
-
-
 def _reduce_vec(F, ech, piv, v):
     v = list(v)
     for row, pc in zip(ech, piv):
@@ -61,6 +36,35 @@ def _reduce_vec(F, ech, piv, v):
         if c != F.zero:
             v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
     return v
+
+
+def _insert_row(F, ech, piv, row, npivot=None):
+    """Add a row to a reduced echelon basis in place; False when it reduces to zero.
+
+    Pivots are confined to the first npivot columns (all columns when None).
+    """
+    row = _reduce_vec(F, ech, piv, row)
+    lead = next((i for i, c in enumerate(row[:npivot]) if c != F.zero), None)
+    if lead is None:
+        return False
+    inv = F.inv(row[lead])
+    row = [F.mul(inv, c) for c in row]
+    for r, pc in zip(ech, piv):
+        c = r[lead]
+        if c != F.zero:
+            r[:] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
+    ech.append(row)
+    piv.append(lead)
+    return True
+
+
+def _rref(F, rows, npivot=None):
+    """Reduced row echelon form; returns (rows, pivots) with zero rows dropped."""
+    ech, piv = [], []
+    for row in rows:
+        _insert_row(F, ech, piv, row, npivot)
+    order = sorted(range(len(piv)), key=lambda i: piv[i])
+    return [ech[i] for i in order], [piv[i] for i in order]
 
 
 def _nullspace(F, rows, n):
@@ -336,7 +340,6 @@ def section_space(b, D):
         raise EmptySpace(f"no sections for fiber half-degree {Dn.dprime} < 0")
     model = _model(b, Dn)
     if model.kind == "param":
-        width = model.beta + 1
         flats = []
         for i in range(model.dim):
             v = [b.field.zero] * model.dim
@@ -520,75 +523,6 @@ def proportion_product(b, D, S):
     return Fraction(1, b.field.order ** expo)
 
 
-# --- packed polynomial arithmetic for prime-field scans ---
-
-
-class _Packed:
-    """F_p polynomials as base 2^bits digit strings packed in one int."""
-
-    def __init__(self, p, width):
-        bits = max((2 * p - 1).bit_length(), 3)
-        if p > (1 << (bits - 1)) + 1:
-            bits += 1
-        self.p = p
-        self.width = width
-        self.bits = bits
-        self.mask = (1 << bits) - 1
-        ones = 0
-        for i in range(width):
-            ones |= 1 << (i * bits)
-        self.corr = ones * ((1 << (bits - 1)) - p)
-        self.sig = ones << (bits - 1)
-
-    def enc(self, digits):
-        x = 0
-        for i, c in enumerate(digits):
-            x |= c << (i * self.bits)
-        return x
-
-    def dec(self, x):
-        return tuple((x >> (i * self.bits)) & self.mask for i in range(self.width))
-
-    def add(self, x, y):
-        t = x + y
-        m = ((t + self.corr) & self.sig) >> (self.bits - 1)
-        return t - self.p * m
-
-    def neg(self, x):
-        ones = self.sig >> (self.bits - 1)
-        t = ones * self.p - x
-        m = ((t + self.corr) & self.sig) >> (self.bits - 1)
-        return t - self.p * m
-
-    def scale(self, x, c):
-        out = 0
-        for _ in range(c % self.p):
-            out = self.add(out, x)
-        return out
-
-    def deg(self, x):
-        return (x.bit_length() - 1) // self.bits if x else -1
-
-    def gcd(self, x, y):
-        p, bits, mask = self.p, self.bits, self.mask
-        while y:
-            dy = (y.bit_length() - 1) // bits
-            ly = (y >> (dy * bits)) & mask
-            inv = pow(ly, p - 2, p)
-            neg_scaled = [0] * p
-            for c in range(1, p):
-                neg_scaled[c] = self.neg(self.scale(y, c))
-            while x:
-                dx = (x.bit_length() - 1) // bits
-                if dx < dy:
-                    break
-                lx = (x >> (dx * bits)) & mask
-                c = (lx * inv) % p
-                x = self.add(x, neg_scaled[c] << ((dx - dy) * bits))
-            x, y = y, x
-        return x
-
-
 # --- member enumeration ---
 
 
@@ -609,189 +543,97 @@ def _member_start(idx, n, q):
     return j, coords
 
 
-def _scan_blocks(b, D, model):
-    """Sparse per-component containment tests on basis coordinates."""
-    F = b.field
+def _digit_blocks(F, pool):
+    """Pool blocks as sparse F_p rows over the digits of the basis coordinates.
+
+    F_q is an F_p-vector space on 1, alpha, ..., alpha^(k-1), so a member
+    coordinate x_t is k digits and position t*k + s holds the alpha^s digit;
+    an F_q row r vanishes on a member exactly when its k digit rows
+    row_sig[(t, s)] = digit sig of r[t] * alpha^s all vanish.
+    """
+    k = F.degree
+    alpha = [F.from_index(F.char ** s) for s in range(k)]
     blocks = []
-    for P in b.split_points:
-        for ls in ("E", "Ep"):
-            rows = _line_ann_rows(b, model.dp, model.A, P, ls,
-                                  _forced_level(D, P, ls) + 1)
-            coord = _rows_on_coords(F, rows, model.basis)
-            blocks.append([tuple((i, c) for i, c in enumerate(r) if c != F.zero)
-                           for r in coord])
-    if model.dp >= 2:
-        _, e = picard.type_of(b, D)
-        catalog = {sf.point for sf in b.singular}
-        extra = [sf.point for sf in b.singular
-                 if sf.fiber_class is not FiberClass.SPLIT_PAIR]
-        extra += [P for P in curve.closed_points_up_to(F, max(e // 2, 0))
-                  if P not in catalog]
-        for P in extra:
-            rows = _full_ann_rows(b, model.dp, model.A, P, 1)
-            coord = _rows_on_coords(F, rows, model.basis)
-            blocks.append([tuple((i, c) for i, c in enumerate(r) if c != F.zero)
-                           for r in coord])
+    for block in pool:
+        rows = []
+        for r in block:
+            digits = [[F.to_digits(F.mul(c, a)) for a in alpha] for c in r]
+            for sig in range(k):
+                rows.append(tuple((t * k + s, ds[s][sig])
+                                  for t, ds in enumerate(digits)
+                                  for s in range(k) if ds[s][sig]))
+        blocks.append(rows)
     return blocks
 
 
-def _scan_range(b, model, blocks, lo, hi, collect):
-    """Count fiber-free members with scan indexes in [lo, hi)."""
+def _member_flat(F, basis, digits):
+    """Flat coefficients of the member with the given coordinate digits."""
+    k, p = F.degree, F.char
+    flat = [F.zero] * len(basis[0])
+    for t, v in enumerate(basis):
+        x = F.from_index(sum(digits[t * k + s] * p ** s for s in range(k)))
+        if x != F.zero:
+            flat = [F.add(y, F.mul(x, c)) for y, c in zip(flat, v)]
+    return tuple(flat)
+
+
+def _literal_scan(b, D, model, collect=False):
+    """Count (and with collect, list) the fiber-free members of |D| one by one.
+
+    A member is fiber-free when it clears every block of the component pool
+    that the subset sum runs over.  Members are scanned once per scalar class,
+    leading coordinate 1, as base-p digit vectors.
+    """
     F = b.field
-    q = F.order
-    n = model.dim
-    use_gcd = model.kind == "param" or model.dp <= 1
-    prime = isinstance(F, gf.PrimeField)
-    if model.kind == "param":
-        width = model.beta + 1
-        nm = model.delta + 1
-        basis = []
-        for i in range(n):
-            v = [F.zero] * n
-            v[i] = F.one
-            basis.append(v)
-    else:
-        width = model.A + 1
-        nm = len(model.monos)
-        basis = [list(v) for v in model.basis]
+    p, k, n = F.char, F.degree, model.dim
+    if n == 0:
+        return (0, []) if collect else 0
+    _, e = picard.type_of(b, D)
+    blocks = _digit_blocks(F, _component_pool(b, D, model, e))
     if any(not blk for blk in blocks):
         return (0, []) if collect else 0
-    if prime:
-        ctx = _Packed(F.p, width)
-        inc = [[ctx.enc(v[m * width:(m + 1) * width]) for m in range(nm)]
-               for v in basis]
-        top_shift = (width - 1) * ctx.bits
-    else:
-        inc = [[tuple(v[m * width:(m + 1) * width]) for m in range(nm)] for v in basis]
-    elems = list(F.elements())
+    total = (F.order ** n - 1) // (F.order - 1)
+    width = n * k
+    digits = [0] * width
+    digits[0] = 1
+    j = 0
     count = 0
     members = []
-    idx = lo
-    j, coords = _member_start(lo, n, q)
-    flat = None
-
-    def rebuild():
-        if prime:
-            st = [0] * nm
-            for t, digit in enumerate(coords):
-                for _ in range(digit):
-                    for m in range(nm):
-                        st[m] = ctx.add(st[m], inc[t][m])
-        else:
-            st = [F.zero] * (nm * width)
-            for t, digit in enumerate(coords):
-                el = elems[digit]
-                if el == F.zero:
-                    continue
-                for i, c in enumerate(basis[t]):
-                    if c != F.zero:
-                        st[i] = F.add(st[i], F.mul(el, c))
-        return st
-
-    flat = rebuild()
-    while idx < hi:
+    idx = 0
+    while True:
         ok = True
         for blk in blocks:
             hit = True
             for row in blk:
-                s = 0 if prime else F.zero
-                if prime:
-                    for i, c in row:
-                        s += c * coords[i]
-                    s %= q
-                else:
-                    for i, c in row:
-                        s = F.add(s, F.mul(c, elems[coords[i]]))
-                if s != (0 if prime else F.zero):
+                s = 0
+                for i, c in row:
+                    s += c * digits[i]
+                if s % p:
                     hit = False
                     break
             if hit:
                 ok = False
                 break
-        if ok and use_gcd:
-            if prime:
-                if all(((x >> top_shift) & ctx.mask) == 0 for x in flat):
-                    ok = False
-                else:
-                    g = 0
-                    for x in flat:
-                        if x:
-                            g = x if g == 0 else ctx.gcd(g, x)
-                            if ctx.deg(g) == 0:
-                                break
-                    if ctx.deg(g) != 0:
-                        ok = False
-            else:
-                affs = [gf.poly_trim(F, flat[m * width:(m + 1) * width])
-                        for m in range(nm)]
-                affs = [a for a in affs if a]
-                if max(len(a) for a in affs) != width:
-                    ok = False
-                else:
-                    g = ()
-                    for a in affs:
-                        g = gf.poly_gcd(F, g, a) if g else gf.poly_monic(F, a)
-                        if gf.deg(g) == 0:
-                            break
-                    if gf.deg(g) != 0:
-                        ok = False
         if ok:
             count += 1
             if collect:
-                if prime:
-                    vec = []
-                    for x in flat:
-                        vec.extend(ctx.dec(x))
-                    members.append(tuple(vec))
-                else:
-                    members.append(tuple(flat))
+                members.append(_member_flat(F, model.basis, digits))
         idx += 1
-        if idx >= hi:
+        if idx >= total:
             break
-        pos = n - 1
+        pos = width - 1
         while True:
-            coords[pos] += 1
-            if prime:
-                for m in range(nm):
-                    flat[m] = ctx.add(flat[m], inc[pos][m])
-            else:
-                for i, c in enumerate(basis[pos]):
-                    if c != F.zero:
-                        flat[i] = F.add(flat[i], c)
-            if coords[pos] < q:
+            digits[pos] += 1
+            if digits[pos] < p:
                 break
-            coords[pos] = 0
+            digits[pos] = 0
             pos -= 1
-            if pos <= j:
+            if pos < (j + 1) * k:
+                digits[j * k] = 0
                 j += 1
-                coords = [0] * n
-                coords[j] = 1
-                flat = rebuild()
+                digits[j * k] = 1
                 break
     return (count, members) if collect else count
-
-
-def _literal_scan(b, D, model, jobs=1, collect=False):
-    blocks = _scan_blocks(b, D, model) if model.kind == "ambient" else []
-    q = b.field.order
-    n = model.dim
-    if n == 0:
-        return (0, []) if collect else 0
-    total = (q ** n - 1) // (q - 1)
-    if jobs <= 1 or total < 4 * jobs:
-        return _scan_range(b, model, blocks, 0, total, collect)
-    step = -(-total // jobs)
-    ranges = [(k * step, min((k + 1) * step, total)) for k in range(jobs)
-              if k * step < total]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(
-            lambda r: _scan_range(b, model, blocks, r[0], r[1], collect), ranges))
-    if collect:
-        members = []
-        for _, ms in parts:
-            members.extend(ms)
-        return sum(c for c, _ in parts), members
-    return sum(parts)
 
 
 # --- inclusion-exclusion over component subsets ---
@@ -835,19 +677,8 @@ def _tri_count(b, D, model, e):
             piv2 = list(piv)
             grew = False
             for row in pool[jj]:
-                red = _reduce_vec(F, ech2, piv2, row)
-                lead = next((i for i, c in enumerate(red) if c != F.zero), None)
-                if lead is None:
-                    continue
-                inv = F.inv(red[lead])
-                red = [F.mul(inv, c) for c in red]
-                for r2, pc2 in zip(ech2, piv2):
-                    c = r2[lead]
-                    if c != F.zero:
-                        r2[:] = [F.sub(x, F.mul(c, y)) for x, y in zip(r2, red)]
-                ech2.append(red)
-                piv2.append(lead)
-                grew = True
+                if _insert_row(F, ech2, piv2, row):
+                    grew = True
             if len(ech2) == n and grew:
                 continue
             rec(jj + 1, ech2, piv2, -sign)
@@ -938,7 +769,7 @@ def _check_budget(q, dim, budget):
             f"{q}^{dim} = {steps} scan steps exceed the budget {budget}")
 
 
-def fiberfree_count(b, D, budget=None, jobs=1):
+def fiberfree_count(b, D, budget=None):
     """Members of |D| whose divisor contains no fiber component."""
     budget = DEFAULT_BUDGET if budget is None else budget
     F = b.field
@@ -961,7 +792,7 @@ def fiberfree_count(b, D, budget=None, jobs=1):
         return 0
     model = _model(b, Dn)
     _check_budget(F.order, model.dim, budget)
-    scan = _literal_scan(b, Dn, model, jobs=jobs)
+    scan = _literal_scan(b, Dn, model)
     tri = _tri_count(b, Dn, model, e)
     if scan != tri:
         raise AssertionError(f"scan and subset-sum engines disagree: {scan} != {tri}")
@@ -994,29 +825,6 @@ def _product_flat(F, dp1, A1, flat1, dp2, A2, flat2):
     return out
 
 
-def _rref_block(F, rows, npivot):
-    """Echelonize augmented rows with pivots confined to the first npivot columns."""
-    ech, piv = [], []
-    for row in rows:
-        row = list(row)
-        for r, pc in zip(ech, piv):
-            c = row[pc]
-            if c != F.zero:
-                row = [F.sub(x, F.mul(c, y)) for x, y in zip(row, r)]
-        lead = next((i for i, c in enumerate(row[:npivot]) if c != F.zero), None)
-        if lead is None:
-            continue
-        inv = F.inv(row[lead])
-        row = [F.mul(inv, c) for c in row]
-        for r, pc in zip(ech, piv):
-            c = r[lead]
-            if c != F.zero:
-                r[:] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
-        ech.append(row)
-        piv.append(lead)
-    return ech, piv
-
-
 def _division_table(b, dp, A_big, delta_map, A_out):
     """Echelon rewriting p^delta multiples modulo the conic as (dp, A_out) flats."""
     F = b.field
@@ -1041,7 +849,7 @@ def _division_table(b, dp, A_big, delta_map, A_out):
             rows.append(row)
     for zr in _z_source_rows(b, dp, A_big):
         rows.append(list(zr) + [F.zero] * n_units)
-    ech, piv = _rref_block(F, rows, N_big)
+    ech, piv = _rref(F, rows, N_big)
     return ech, piv, N_big, n_units
 
 
@@ -1131,7 +939,7 @@ def _ruled_product_keys(F, mem1, d1, b1, mem2, d2, b2, same):
     return marked
 
 
-def prime_count(b, d, e, budget=None, jobs=1):
+def prime_count(b, d, e, budget=None):
     """Irreducible fiber-free multisections of type (d, e), by marked-set subtraction."""
     budget = DEFAULT_BUDGET if budget is None else budget
     F = b.field
@@ -1160,7 +968,7 @@ def prime_count(b, d, e, budget=None, jobs=1):
         if D1 not in member_cache:
             model1 = _model(b, D1)
             _check_budget(q, model1.dim, budget - used)
-            cnt, mem = _literal_scan(b, D1, model1, jobs=jobs, collect=True)
+            cnt, mem = _literal_scan(b, D1, model1, collect=True)
             tri = _tri_count(b, D1, model1, picard.type_of(b, D1)[1])
             if cnt != tri:
                 raise AssertionError(f"factor engines disagree: {cnt} != {tri}")
@@ -1168,7 +976,7 @@ def prime_count(b, d, e, budget=None, jobs=1):
         return member_cache[D1]
 
     for D in picard.classes_of_type(b, d, e):
-        mf = fiberfree_count(b, D, budget=budget, jobs=jobs)
+        mf = fiberfree_count(b, D, budget=budget)
         marked = set()
         if b.l == 0:
             for D1, D2 in picard.decompositions(b, D):

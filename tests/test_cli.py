@@ -254,3 +254,26 @@ def test_main_budget_override_refuses(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["partial"] is True
     assert "refused" in out["results"]["heights"][0]
+
+
+def test_main_internal_check_exit_code(tmp_path, capsys):
+    # d=4 marking on this l=2 bundle trips an engine assertion (ROADMAP item 2);
+    # the CLI reports it as one line and exit code 4, never a traceback
+    double = {"field": {"p": 3},
+              "bundle": {"l": 2, "a": [1, 0, 1], "b": [0, 1, 0], "c": [1, 0, 2]}}
+    assert run_main(tmp_path, doc(double, "compare", d=4, e_list=[2])) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_main_extension_field_enumerate(tmp_path, capsys):
+    # over F9 every singular fiber of the catalog bundle splits: M_f is
+    # counted, then the irreducible count is refused with exit code 3
+    document = doc(dict(MIXED, field={"q": 9}), "enumerate", d=2, e_list=[2])
+    assert run_main(tmp_path, document) == 3
+    height = json.loads(capsys.readouterr().out)["results"]["heights"][0]
+    assert height["M_f"] == 4 * 57 + 4 * 64 + 6 * 690
+    assert "every singular fiber splits" in height["refused"]

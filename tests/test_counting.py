@@ -1,5 +1,7 @@
 """Fiber-free and irreducible multisection counts against frozen oracles."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,14 @@ import pytest
 from conic_census import bundle, curve, gf, linsys, picard
 from conic_census.bundle import BinaryForm, bf_mul
 from conic_census.errors import EnumerationBudgetExceeded, OddDegreeUnsupported
+from conic_census.linsys import section_space
 from conic_census.picard import NumClass
 
 F3 = gf.make_field(3)
+F5 = gf.make_field(5)
+F9 = gf.make_field(3, 2)
+F25 = gf.make_field(5, 2)
+F27 = gf.make_field(3, 3)
 
 # Mobius-derived closed forms, computed by hand before the engines existed
 FIBERFREE_D2 = {0: 13, 2: 312, 4: 8424, 6: 227448, 8: 6141096}
@@ -33,6 +40,11 @@ def b_mixed():
 def b_allsplit():
     # l=1 with every singular fiber split: -(s+t) completes a square chain
     return mk(F3, 1, (0, 1), (1, 0), (2, 2))
+
+
+def b_catalog_l1(F):
+    # the README's l=1 catalog bundle a=t, b=s, c=s+t read over F
+    return mk(F, 1, (F.zero, F.one), (F.one, F.zero), (F.one, F.one))
 
 
 P_T1 = curve.point_from_poly(F3, (1, 1))
@@ -101,14 +113,6 @@ def test_budget_refusal_is_not_truncation():
         linsys.fiberfree_count(b0, the_class(b0, 2, 8), budget=100)
     with pytest.raises(EnumerationBudgetExceeded):
         linsys.prime_count(b0, 2, 8, budget=100)
-
-
-def test_jobs_split_counts_identically():
-    b1 = b_mixed()
-    for D in picard.classes_of_type(b1, 2, 4):
-        assert linsys.fiberfree_count(b1, D, jobs=1) == linsys.fiberfree_count(b1, D, jobs=3)
-    b0 = b_trivial()
-    assert linsys.prime_count(b0, 2, 4, jobs=2) == linsys.prime_count(b0, 2, 4)
 
 
 def test_prime_counts_frozen_values():
@@ -199,3 +203,83 @@ def test_scan_dimension_threshold_frozen():
     assert linsys.scan_dimension_threshold(b_mixed(), curve.P1_CURVE, 2) == -1
     b2 = mk(F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2))
     assert linsys.scan_dimension_threshold(b2, curve.P1_CURVE, 2) == 1
+
+
+def test_extension_field_fiberfree_counts_frozen():
+    # frozen subset-sum values; the literal scan must reproduce each of them
+    def census(F, e, max_dim):
+        b = b_catalog_l1(F)
+        return Counter(linsys.fiberfree_count(b, D) for D in picard.classes_of_type(b, 2, e)
+                       if section_space(b, D).dim <= max_dim)
+
+    assert census(F9, 2, 4) == {57: 4, 64: 4, 690: 6}
+    assert census(F25, 1, 3) == {23: 12, 645: 1}
+    assert census(F25, 2, 3) == {553: 4, 576: 4}
+    assert census(F27, 1, 3) == {755: 1}
+
+
+def _gcd_fiber_free(b, D, model, flat):
+    """Reference fiber test for dp <= 1 classes, on a flat vector: coefficient
+    forms of full degree with no common factor (no full fiber contained), and
+    no split line contained beyond the class's forced level."""
+    F = b.field
+    width = model.A + 1
+    forms = [gf.poly_trim(F, flat[m * width:(m + 1) * width]) for m in range(len(model.monos))]
+    forms = [f for f in forms if f]
+    if max(len(f) for f in forms) != width:
+        return False
+    g = ()
+    for f in forms:
+        g = gf.poly_gcd(F, g, f)
+    if gf.deg(g) != 0:
+        return False
+    for P in b.split_points:
+        for side in ("E", "Ep"):
+            rows = linsys._line_ann_rows(b, model.dp, model.A, P, side,
+                                         linsys._forced_level(D, P, side) + 1)
+            if all(linsys._dot(F, r, flat) == F.zero for r in rows):
+                return False
+    return True
+
+
+def _pool_fiber_free(F, pool, coords):
+    return not any(all(linsys._dot(F, r, coords) == F.zero for r in blk) for blk in pool)
+
+
+@pytest.mark.parametrize("F, l, a, b, c, e_max", [
+    (F3, 1, (0, 1), (1, 0), (1, 1), 8),
+    (F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2), 6),
+    (F5, 1, (0, 1), (1, 0), (2, 1), 6),
+    (F9, 1, (F9.zero, F9.one), (F9.one, F9.zero), ((1, 1), F9.one), 4),
+], ids=["F3-l1", "F3-l2", "F5-l1", "F9-l1"])
+def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
+    # brute force with field operations only: every member of every small
+    # dp <= 1 class, its flat built from the basis, tested both ways
+    bnd = mk(F, l, a, b, c)
+    elems = list(F.elements())
+    checked = 0
+    for d, e in itertools.product((0, 2), range(-1, e_max + 1)):
+        for D in picard.classes_of_type(bnd, d, e):
+            model = linsys._model(bnd, D)
+            n = model.dim
+            if n == 0 or F.order ** n > 3 ** 8:
+                continue
+            D = model.cls
+            pool = linsys._component_pool(bnd, D, model, e)
+            free = set()
+            for coords in itertools.product(elems, repeat=n):
+                if next((x for x in coords if x != F.zero), None) != F.one:
+                    continue
+                flat = [F.zero] * model.N
+                for x, v in zip(coords, model.basis):
+                    flat = [F.add(y, F.mul(x, cv)) for y, cv in zip(flat, v)]
+                by_gcd = _gcd_fiber_free(bnd, D, model, flat)
+                assert by_gcd == _pool_fiber_free(F, pool, coords), (D, coords)
+                if by_gcd:
+                    free.add(linsys._member_key(F, flat))
+            assert linsys.fiberfree_count(bnd, D) == len(free), D
+            count, members = linsys._literal_scan(bnd, D, model, collect=True)
+            assert count == len(free)
+            assert {linsys._member_key(F, m) for m in members} == free, D
+            checked += 1
+    assert checked >= 4
