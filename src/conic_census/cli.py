@@ -437,8 +437,12 @@ def main(argv=None):
         return 4
     text_out = render_csv(report) if cfg.params["format"] == "csv" else render_json(report)
     if cfg.params["output_path"]:
-        with open(cfg.params["output_path"], "w", encoding="utf-8") as fh:
-            fh.write(text_out)
+        try:
+            with open(cfg.params["output_path"], "w", encoding="utf-8") as fh:
+                fh.write(text_out)
+        except OSError as exc:
+            print(f"config error at params.output_path: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text_out)
     return status

@@ -9,11 +9,18 @@ are laid out monomial-major (graded lex, x > y > z) with ascending t-degree
 inside each binary form, and every basis is kept in reduced row echelon
 form, so coset representatives are canonical.  Bundles with l = 0 also
 carry a ruled model: the conic factor is a smooth plane conic, so O(D)
-matches the bidegree (d, e/2) forms on a product of two projective lines;
-that model covers the half-integer dprime classes of odd fiber degree.
+matches the bidegree (d, e/2) forms on a product of two projective lines,
+laid out like an ambient model with monomials (d - i, i), coefficient degree
+e/2 and an identity basis.  That model covers the half-integer dprime classes
+of odd fiber degree, and every l = 0 count runs on it.
+
+Both models share one set of engines.  The subset sum over the component
+pool counts fiber-free members; the literal scan over the same pool collects
+them for the irreducible count.  The runtime cross-checks are the literal
+scan against the subset sum on ambient models and the divisor sieve of the
+projective line against the subset sum on ruled models.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -132,7 +139,26 @@ class _Model:
     """Frozen computational model of one normalized class."""
 
     __slots__ = ("kind", "cls", "dp", "A", "monos", "N", "zech", "zpiv",
-                 "basis", "dim", "delta", "beta")
+                 "basis", "dim")
+
+
+def _ruled_model(b, D, delta, beta):
+    """Ruled model of a class on l = 0: bidegree (delta, beta) forms, identity basis.
+
+    There are no conic multiples to reduce by, so zech and zpiv are empty.
+    """
+    F = b.field
+    m = _Model()
+    m.kind = "param"
+    m.cls = D
+    m.dp = None
+    m.A = beta
+    m.monos = tuple((delta - i, i) for i in range(delta + 1))
+    m.N = m.dim = len(m.monos) * (beta + 1) if beta >= 0 else 0
+    m.zech, m.zpiv = (), ()
+    m.basis = tuple(tuple(F.one if i == j else F.zero for j in range(m.N))
+                    for i in range(m.N))
+    return m
 
 
 def _ambient_A(D):
@@ -144,28 +170,20 @@ def _model(b, D):
     """Build the cached space model for a class; the argument is normalized first."""
     D = picard.normalize(b, D)
     F = b.field
-    m = _Model()
-    m.cls = D
     if isinstance(D.dprime, Fraction):
         if b.l != 0:
             raise OddDegreeUnsupported(
                 "half-integer fiber degree needs the ruled model, available only for l = 0")
-        m.kind = "param"
-        m.delta = int(2 * D.dprime)
-        m.beta = D.a
-        m.dim = (m.delta + 1) * (m.beta + 1) if m.beta >= 0 else 0
-        m.dp = m.A = m.monos = m.zech = m.zpiv = None
-        m.N = m.dim
-        m.basis = None
-        return m
+        return _ruled_model(b, D, int(2 * D.dprime), D.a)
     if D.dprime < 0:
         raise EmptySpace(f"no sections for fiber half-degree {D.dprime} < 0")
+    m = _Model()
+    m.cls = D
     m.kind = "ambient"
     m.dp = D.dprime
     m.A = _ambient_A(D)
     m.monos = monomial_basis(m.dp)
     m.N = len(m.monos) * (m.A + 1) if m.A >= 0 else 0
-    m.delta = m.beta = None
     if m.N == 0:
         m.zech, m.zpiv, m.basis, m.dim = (), (), (), 0
         return m
@@ -302,13 +320,6 @@ class SectionSpace:
 
 
 def _coeff_dict(model, flat):
-    if model.kind == "param":
-        width = model.beta + 1
-        out = {}
-        for i in range(model.delta + 1):
-            out[(model.delta - i, i)] = BinaryForm(model.beta,
-                                                   tuple(flat[i * width:(i + 1) * width]))
-        return out
     width = model.A + 1
     return {mm: BinaryForm(model.A, tuple(flat[i * width:(i + 1) * width]))
             for i, mm in enumerate(model.monos)}
@@ -316,13 +327,6 @@ def _coeff_dict(model, flat):
 
 def _flat_of_section(b, model, s):
     F = b.field
-    if model.kind == "param":
-        width = model.beta + 1
-        flat = [F.zero] * model.dim
-        for (i, j), form in s.ambient_coeffs.items():
-            for k, c in enumerate(form.coeffs):
-                flat[j * width + k] = c
-        return flat
     width = model.A + 1
     midx = {mm: i for i, mm in enumerate(model.monos)}
     flat = [F.zero] * model.N
@@ -335,20 +339,9 @@ def _flat_of_section(b, model, s):
 
 def section_space(b, D):
     """Basis of the sections of O(D) as canonical ambient representatives."""
-    Dn = picard.normalize(b, D)
-    if not isinstance(Dn.dprime, Fraction) and Dn.dprime < 0:
-        raise EmptySpace(f"no sections for fiber half-degree {Dn.dprime} < 0")
-    model = _model(b, Dn)
-    if model.kind == "param":
-        flats = []
-        for i in range(model.dim):
-            v = [b.field.zero] * model.dim
-            v[i] = b.field.one
-            flats.append(v)
-    else:
-        flats = model.basis
-    sections = tuple(Section(Dn, _coeff_dict(model, v)) for v in flats)
-    return SectionSpace(Dn, sections, model.dim)
+    model = _model(b, D)
+    sections = tuple(Section(model.cls, _coeff_dict(model, v)) for v in model.basis)
+    return SectionSpace(model.cls, sections, model.dim)
 
 
 # --- component multiplicities ---
@@ -379,13 +372,8 @@ def component_multiplicity(b, s, P, side):
     if model.kind == "param":
         if side != "full":
             raise NotASplitFiber("a trivial bundle has no split fibers")
-        width = model.beta + 1
-        vals = []
-        for i in range(model.delta + 1):
-            form = BinaryForm(model.beta, tuple(flat[i * width:(i + 1) * width]))
-            if any(c != F.zero for c in form.coeffs):
-                vals.append(_binary_val(F, form, P))
-        return min(vals)
+        return min(_binary_val(F, form, P) for form in _coeff_dict(model, flat).values()
+                   if any(c != F.zero for c in form.coeffs))
     guard = model.dp + model.A + 2
     k = 0
     while k <= guard:
@@ -445,6 +433,10 @@ def _forced_level(D, P, line_side):
 
 def _containment_rows(b, D, model, P, side):
     """Flat rows expressing that the member divisor contains the component."""
+    if model.kind == "param":
+        if side != "full":
+            raise NotASplitFiber("a trivial bundle has no split fibers")
+        return _param_full_rows(b, model, P)
     if side == "full":
         sf = b.singular_fiber_at(P)
         if sf is not None and sf.fiber_class is FiberClass.SPLIT_PAIR:
@@ -467,20 +459,20 @@ def _rows_on_coords(F, rows, basis):
 def _param_full_rows(b, model, P):
     """Coefficient-divisibility rows for a full fiber on the ruled model."""
     F = b.field
-    width = model.beta + 1
+    width = model.A + 1
     rows = []
     if P.is_infinity:
-        for i in range(model.delta + 1):
-            row = [F.zero] * model.dim
-            row[i * width + model.beta] = F.one
+        for i in range(len(model.monos)):
+            row = [F.zero] * model.N
+            row[i * width + model.A] = F.one
             rows.append(row)
     else:
         K = curve.residue_field(F, P)
         red = [_kappa_coords(K, F, curve.residue_of_poly(F, P, ((F.zero,) * t) + (F.one,)))
                for t in range(width)]
-        for i in range(model.delta + 1):
+        for i in range(len(model.monos)):
             for sig in range(P.degree):
-                row = [F.zero] * model.dim
+                row = [F.zero] * model.N
                 for t in range(width):
                     row[i * width + t] = red[t][sig]
                 rows.append(row)
@@ -493,14 +485,6 @@ def proportion_exact(b, D, S):
     Dn = picard.normalize(b, D)
     F = b.field
     model = _model(b, Dn)
-    rows = []
-    if model.kind == "param":
-        for P, side in S.elements:
-            if side != "full":
-                raise NotASplitFiber("a trivial bundle has no split fibers")
-            rows.extend(_param_full_rows(b, model, P))
-        ech, _ = _rref(F, rows)
-        return Fraction(1, F.order ** len(ech))
     flat_rows = []
     for P, side in S.elements:
         flat_rows.extend(_containment_rows(b, Dn, model, P, side))
@@ -526,23 +510,6 @@ def proportion_product(b, D, S):
 # --- member enumeration ---
 
 
-def _member_start(idx, n, q):
-    """Coordinates of the member with the given scan index."""
-    j = 0
-    while True:
-        block = q ** (n - 1 - j)
-        if idx < block:
-            break
-        idx -= block
-        j += 1
-    coords = [0] * n
-    coords[j] = 1
-    for pos in range(n - 1, j, -1):
-        idx, r = divmod(idx, q)
-        coords[pos] = r
-    return j, coords
-
-
 def _digit_blocks(F, pool):
     """Pool blocks as sparse F_p rows over the digits of the basis coordinates.
 
@@ -566,32 +533,33 @@ def _digit_blocks(F, pool):
     return blocks
 
 
-def _member_flat(F, basis, digits):
-    """Flat coefficients of the member with the given coordinate digits."""
+def _member_flat(F, sparse, N, digits):
+    """Flat coefficients of the member with the given coordinate digits; sparse
+    holds the nonzero (column, entry) pairs of each basis vector."""
     k, p = F.degree, F.char
-    flat = [F.zero] * len(basis[0])
-    for t, v in enumerate(basis):
+    flat = [F.zero] * N
+    for t, v in enumerate(sparse):
         x = F.from_index(sum(digits[t * k + s] * p ** s for s in range(k)))
         if x != F.zero:
-            flat = [F.add(y, F.mul(x, c)) for y, c in zip(flat, v)]
+            for i, c in v:
+                flat[i] = F.add(flat[i], F.mul(x, c))
     return tuple(flat)
 
 
-def _literal_scan(b, D, model, collect=False):
-    """Count (and with collect, list) the fiber-free members of |D| one by one.
+def _literal_scan(F, pool, basis, collect=False):
+    """Count (and with collect, list) the fiber-free members of a model one by one.
 
     A member is fiber-free when it clears every block of the component pool
     that the subset sum runs over.  Members are scanned once per scalar class,
     leading coordinate 1, as base-p digit vectors.
     """
-    F = b.field
-    p, k, n = F.char, F.degree, model.dim
+    p, k, n = F.char, F.degree, len(basis)
     if n == 0:
         return (0, []) if collect else 0
-    _, e = picard.type_of(b, D)
-    blocks = _digit_blocks(F, _component_pool(b, D, model, e))
+    blocks = _digit_blocks(F, pool)
     if any(not blk for blk in blocks):
         return (0, []) if collect else 0
+    sparse = [[(i, c) for i, c in enumerate(v) if c != F.zero] for v in basis]
     total = (F.order ** n - 1) // (F.order - 1)
     width = n * k
     digits = [0] * width
@@ -617,7 +585,7 @@ def _literal_scan(b, D, model, collect=False):
         if ok:
             count += 1
             if collect:
-                members.append(_member_flat(F, model.basis, digits))
+                members.append(_member_flat(F, sparse, len(basis[0]), digits))
         idx += 1
         if idx >= total:
             break
@@ -639,9 +607,14 @@ def _literal_scan(b, D, model, collect=False):
 # --- inclusion-exclusion over component subsets ---
 
 
-def _component_pool(b, D, model, e):
-    """Containment row blocks for every component a member could contain."""
+def _component_pool(b, D, model):
+    """Containment row blocks, in basis coordinates, for every component a
+    member of |D| could contain."""
     F = b.field
+    _, e = picard.type_of(b, D)
+    points = curve.closed_points_up_to(F, max(e // 2, 0))
+    if model.kind == "param":
+        return [_param_full_rows(b, model, P) for P in points]
     pool = []
     for P in sorted(b.split_points, key=lambda P: curve.point_sort_key(F, P)):
         for ls in ("E", "Ep"):
@@ -653,7 +626,7 @@ def _component_pool(b, D, model, e):
             rows = _full_ann_rows(b, model.dp, model.A, sf.point, 1)
             pool.append(_rows_on_coords(F, rows, model.basis))
     catalog = {sf.point for sf in b.singular}
-    for P in curve.closed_points_up_to(F, max(e // 2, 0)):
+    for P in points:
         if P in catalog:
             continue
         rows = _full_ann_rows(b, model.dp, model.A, P, 1)
@@ -661,12 +634,10 @@ def _component_pool(b, D, model, e):
     return pool
 
 
-def _tri_count(b, D, model, e):
-    """Fiber-free member count by signed sums over component subsets."""
-    F = b.field
+def _tri_count(F, pool, n):
+    """Fiber-free member count of an n-dimensional model by signed sums over
+    subsets of its component pool."""
     q = F.order
-    n = model.dim
-    pool = _component_pool(b, D, model, e)
     total = 0
 
     def rec(start, ech, piv, sign):
@@ -689,48 +660,9 @@ def _tri_count(b, D, model, e):
     return total // (q - 1)
 
 
-# --- ruled-model engines for l = 0 ---
-
-
-def _ruled_fold(F, state, digits, width):
-    g, top = state
-    aff = gf.poly_trim(F, digits)
-    if not aff:
-        return state
-    g2 = gf.poly_gcd(F, g, aff) if g else gf.poly_monic(F, aff)
-    return g2, top or len(aff) == width
-
-
-def _ruled_trivial(state):
-    g, top = state
-    return top and gf.deg(g) == 0
-
-
-def _ruled_direct(F, delta, beta):
-    """Fiber-free members of the bidegree (delta, beta) system, by direct scan."""
-    width = beta + 1
-    q = F.order
-    forms = list(itertools.product(F.elements(), repeat=width))
-    groups = {}
-    for prefix in itertools.product(forms, repeat=delta):
-        state = ((), False)
-        for f in prefix:
-            state = _ruled_fold(F, state, f, width)
-        groups[state] = groups.get(state, 0) + 1
-    last = {}
-    count = 0
-    for state, cnt in groups.items():
-        if state not in last:
-            last[state] = sum(1 for f in forms
-                              if _ruled_trivial(_ruled_fold(F, state, f, width)))
-        count += cnt * last[state]
-    if count % (q - 1):
-        raise AssertionError("scan total is not divisible by the scalar count")
-    return count // (q - 1)
-
-
 def _ruled_sieve(q, delta, beta):
-    """Same count through the divisor sieve of the projective line."""
+    """Fiber-free count of the bidegree (delta, beta) system through the
+    divisor sieve of the projective line."""
     r = delta + 1
     coef = (1, -(q + 1), q)
     total = sum(c * (q ** (r * (beta - k + 1)) - 1)
@@ -738,25 +670,6 @@ def _ruled_sieve(q, delta, beta):
     if total % (q - 1):
         raise AssertionError("sieve total is not divisible by the scalar count")
     return total // (q - 1)
-
-
-def _ruled_members(F, delta, beta):
-    """Flat tuples of the fiber-free members on the ruled model."""
-    width = beta + 1
-    n = (delta + 1) * width
-    q = F.order
-    out = []
-    total = (q ** n - 1) // (q - 1)
-    elems = list(F.elements())
-    for idx in range(total):
-        _, coords = _member_start(idx, n, q)
-        flat = [elems[c] for c in coords]
-        state = ((), False)
-        for i in range(delta + 1):
-            state = _ruled_fold(F, state, flat[i * width:(i + 1) * width], width)
-        if _ruled_trivial(state):
-            out.append(tuple(flat))
-    return out
 
 
 # --- fiber-free counting ---
@@ -769,59 +682,83 @@ def _check_budget(q, dim, budget):
             f"{q}^{dim} = {steps} scan steps exceed the budget {budget}")
 
 
+def _count_model(b, D):
+    """The model that counts a normalized class: on l = 0 always the ruled one."""
+    if b.l == 0:
+        d, e = picard.type_of(b, D)
+        return _ruled_model(b, D, d, e // 2)
+    return _model(b, D)
+
+
+@lru_cache(maxsize=None)
+def _fiberfree(b, D):
+    """Subset-sum count of a normalized class, checked against a second engine."""
+    F = b.field
+    model = _count_model(b, D)
+    pool = _component_pool(b, D, model)
+    tri = _tri_count(F, pool, model.dim)
+    if model.kind == "param":
+        sieve = _ruled_sieve(F.order, len(model.monos) - 1, model.A)
+        if tri != sieve:
+            raise AssertionError(f"ruled engines disagree: {tri} != {sieve}")
+    else:
+        scan = _literal_scan(F, pool, model.basis)
+        if scan != tri:
+            raise AssertionError(f"scan and subset-sum engines disagree: {scan} != {tri}")
+    return tri
+
+
 def fiberfree_count(b, D, budget=None):
     """Members of |D| whose divisor contains no fiber component."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    F = b.field
     Dn = picard.normalize(b, D)
     d, e = picard.type_of(b, Dn)
     if b.l == 0:
         if e % 2 or d < 0 or e < 0:
             return 0
-        delta, beta = d, e // 2
-        _check_budget(F.order, (delta + 1) * (beta + 1), budget)
-        direct = _ruled_direct(F, delta, beta)
-        sieve = _ruled_sieve(F.order, delta, beta)
-        if direct != sieve:
-            raise AssertionError(f"ruled engines disagree: {direct} != {sieve}")
-        return direct
-    if isinstance(Dn.dprime, Fraction):
+    elif isinstance(Dn.dprime, Fraction):
         raise OddDegreeUnsupported(
             "half-integer fiber degree needs the ruled model, available only for l = 0")
-    if Dn.dprime < 0:
+    elif Dn.dprime < 0:
         return 0
-    model = _model(b, Dn)
-    _check_budget(F.order, model.dim, budget)
-    scan = _literal_scan(b, Dn, model)
-    tri = _tri_count(b, Dn, model, e)
-    if scan != tri:
-        raise AssertionError(f"scan and subset-sum engines disagree: {scan} != {tri}")
-    return scan
+    _check_budget(b.field.order, _count_model(b, Dn).dim, budget)
+    return _fiberfree(b, Dn)
 
 
 # --- products of members and the prime sieve ---
 
 
-def _product_flat(F, dp1, A1, flat1, dp2, A2, flat2):
-    """Flat coefficients of the product form, bidegree (dp1+dp2, A1+A2)."""
-    monos1, monos2 = monomial_basis(dp1), monomial_basis(dp2)
-    monos = monomial_basis(dp1 + dp2)
+@lru_cache(maxsize=None)
+def _product_layout(monos1, W1, monos2, W2):
+    """Flat size of a product and the flat offset of each pair of input monomials.
+
+    Both model layouts list their monomials in descending lex order, so the
+    product lists the sums of input monomials in that order too; its
+    coefficient forms have W1 + W2 - 1 coefficients.
+    """
+    add = lambda m1, m2: tuple(x + y for x, y in zip(m1, m2))
+    monos = sorted({add(m1, m2) for m1 in monos1 for m2 in monos2}, reverse=True)
     midx = {mm: i for i, mm in enumerate(monos)}
-    W = A1 + A2 + 1
-    out = [F.zero] * (len(monos) * W)
-    for i1, m1 in enumerate(monos1):
-        for t1 in range(A1 + 1):
-            c1 = flat1[i1 * (A1 + 1) + t1]
-            if c1 == F.zero:
-                continue
-            for i2, m2 in enumerate(monos2):
-                base = midx[(m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])] * W
-                for t2 in range(A2 + 1):
-                    c2 = flat2[i2 * (A2 + 1) + t2]
-                    if c2 == F.zero:
-                        continue
-                    k = base + t1 + t2
-                    out[k] = F.add(out[k], F.mul(c1, c2))
+    W = W1 + W2 - 1
+    offsets = tuple(tuple(midx[add(m1, m2)] * W for m2 in monos2) for m1 in monos1)
+    return len(monos) * W, offsets
+
+
+def _product_flat(F, model1, flat1, model2, flat2):
+    """Flat coefficients of the product of two members' forms."""
+    W1, W2 = model1.A + 1, model2.A + 1
+    size, offsets = _product_layout(model1.monos, W1, model2.monos, W2)
+    terms2 = [(*divmod(k2, W2), c2) for k2, c2 in enumerate(flat2) if c2 != F.zero]
+    add, mul = F.add, F.mul
+    out = [F.zero] * size
+    for k1, c1 in enumerate(flat1):
+        if c1 == F.zero:
+            continue
+        i1, t1 = divmod(k1, W1)
+        base = offsets[i1]
+        for i2, t2, c2 in terms2:
+            k = base[i2] + t1 + t2
+            out[k] = add(out[k], mul(c1, c2))
     return out
 
 
@@ -867,76 +804,18 @@ def _divide_flat(F, table, flat_big):
 
 
 def _member_key(F, flat):
-    digits = []
-    for c in flat:
-        digits.extend(F.to_digits(c))
-    return bytes(digits)
+    # one byte per coefficient: base fields have q <= 27 elements
+    return bytes(map(F.to_index, flat))
 
 
 def _normalize_scalar(F, flat):
     lead = next((c for c in flat if c != F.zero), None)
     if lead is None:
         raise AssertionError("zero member escaped enumeration")
+    if lead == F.one:
+        return flat
     inv = F.inv(lead)
     return [F.mul(inv, c) for c in flat]
-
-
-def _ruled_product_keys(F, mem1, d1, b1, mem2, d2, b2, same):
-    """Marked keys of pairwise products of ruled-model members."""
-    W1, W2 = b1 + 1, b2 + 1
-    S = b1 + b2 + 1
-    marked = set()
-    prime = isinstance(F, gf.PrimeField)
-    if prime:
-        p = F.p
-        terms = (min(d1, d2) + 1) * (min(b1, b2) + 1)
-        wbits = (terms * (p - 1) * (p - 1)).bit_length() + 1
-        ndig = (d1 + d2 + 1) * S
-
-        def enc(flat, dd, ww):
-            x = 0
-            for i in range(dd + 1):
-                for t in range(ww):
-                    c = flat[i * ww + t]
-                    if c:
-                        x |= c << ((i * S + t) * wbits)
-            return x
-
-        enc1 = [enc(m, d1, W1) for m in mem1]
-        enc2 = enc1 if same else [enc(m, d2, W2) for m in mem2]
-        mask = (1 << wbits) - 1
-        for i1, x1 in enumerate(enc1):
-            start = i1 if same else 0
-            for x2 in (enc2[start:] if same else enc2):
-                z = x1 * x2
-                flat = [0] * ndig
-                pos = 0
-                while z:
-                    dcur = z & mask
-                    if dcur:
-                        flat[pos] = dcur % p
-                    z >>= wbits
-                    pos += 1
-                marked.add(_member_key(F, _normalize_scalar(F, flat)))
-        return marked
-    for i1, m1 in enumerate(mem1):
-        seq2 = mem2[i1:] if same else mem2
-        for m2 in seq2:
-            out = [F.zero] * ((d1 + d2 + 1) * S)
-            for i in range(d1 + 1):
-                for t1 in range(W1):
-                    c1 = m1[i * W1 + t1]
-                    if c1 == F.zero:
-                        continue
-                    for jj in range(d2 + 1):
-                        for t2 in range(W2):
-                            c2 = m2[jj * W2 + t2]
-                            if c2 == F.zero:
-                                continue
-                            k = (i + jj) * S + t1 + t2
-                            out[k] = F.add(out[k], F.mul(c1, c2))
-            marked.add(_member_key(F, _normalize_scalar(F, out)))
-    return marked
 
 
 def prime_count(b, d, e, budget=None):
@@ -956,77 +835,54 @@ def prime_count(b, d, e, budget=None):
     total = 0
     member_cache = {}
 
-    def ruled_members_of(D1):
-        dd, ee = picard.type_of(b, D1)
-        key = (dd, ee)
-        if key not in member_cache:
-            _check_budget(q, (dd + 1) * (ee // 2 + 1), budget - used)
-            member_cache[key] = _ruled_members(F, dd, ee // 2)
-        return member_cache[key], dd, ee // 2
-
-    def ambient_members_of(D1):
+    def members_of(D1):
         if D1 not in member_cache:
-            model1 = _model(b, D1)
+            model1 = _count_model(b, D1)
             _check_budget(q, model1.dim, budget - used)
-            cnt, mem = _literal_scan(b, D1, model1, collect=True)
-            tri = _tri_count(b, D1, model1, picard.type_of(b, D1)[1])
-            if cnt != tri:
-                raise AssertionError(f"factor engines disagree: {cnt} != {tri}")
+            cnt, mem = _literal_scan(F, _component_pool(b, D1, model1), model1.basis,
+                                     collect=True)
+            mf1 = fiberfree_count(b, D1, budget=budget)
+            if cnt != mf1:
+                raise AssertionError(f"factor engines disagree: {cnt} != {mf1}")
             member_cache[D1] = (mem, model1)
         return member_cache[D1]
 
     for D in picard.classes_of_type(b, d, e):
         mf = fiberfree_count(b, D, budget=budget)
+        model = _count_model(b, D)
         marked = set()
-        if b.l == 0:
-            for D1, D2 in picard.decompositions(b, D):
-                if D1.dprime == 0 or D2.dprime == 0:
-                    continue
-                mem1, d1, b1 = ruled_members_of(D1)
-                mem2, d2, b2 = ruled_members_of(D2)
-                if not mem1 or not mem2:
-                    continue
-                used += len(mem1) * len(mem2)
-                if used > budget:
-                    raise EnumerationBudgetExceeded(
-                        f"{used} product steps exceed the budget {budget}")
-                marked |= _ruled_product_keys(F, mem1, d1, b1, mem2, d2, b2,
-                                              D1 == D2)
-        else:
-            model = _model(b, D)
-            for D1, D2 in picard.decompositions(b, D):
-                if D1.dprime == 0 or D2.dprime == 0:
-                    continue
-                mem1, model1 = ambient_members_of(D1)
-                mem2, model2 = ambient_members_of(D2)
-                if not mem1 or not mem2:
-                    continue
-                used += len(mem1) * len(mem2)
-                if used > budget:
-                    raise EnumerationBudgetExceeded(
-                        f"{used} product steps exceed the budget {budget}")
-                _, _, c1 = D1.canonical()
-                _, _, c2 = D2.canonical()
-                m1map, m2map = dict(c1), dict(c2)
-                delta_map = {}
-                for P in set(m1map) | set(m2map):
-                    v1, v2 = m1map.get(P, 0), m2map.get(P, 0)
-                    if v1 * v2 < 0:
-                        delta_map[P] = min(abs(v1), abs(v2))
-                A_big = model1.A + model2.A
-                table = None
-                if delta_map:
-                    table = _division_table(b, model.dp, A_big, delta_map, model.A)
-                same = D1 == D2
-                for i1, f1 in enumerate(mem1):
-                    seq2 = mem2[i1:] if same else mem2
-                    for f2 in seq2:
-                        prod = _product_flat(F, model1.dp, model1.A, f1,
-                                             model2.dp, model2.A, f2)
-                        if table is not None:
-                            prod = _divide_flat(F, table, prod)
-                        prod = _reduce_vec(F, model.zech, model.zpiv, prod)
-                        marked.add(_member_key(F, _normalize_scalar(F, prod)))
+        for D1, D2 in picard.decompositions(b, D):
+            if D1.dprime == 0 or D2.dprime == 0:
+                continue
+            mem1, model1 = members_of(D1)
+            mem2, model2 = members_of(D2)
+            if not mem1 or not mem2:
+                continue
+            used += len(mem1) * len(mem2)
+            if used > budget:
+                raise EnumerationBudgetExceeded(
+                    f"{used} product steps exceed the budget {budget}")
+            _, _, c1 = D1.canonical()
+            _, _, c2 = D2.canonical()
+            m1map, m2map = dict(c1), dict(c2)
+            delta_map = {}
+            for P in set(m1map) | set(m2map):
+                v1, v2 = m1map.get(P, 0), m2map.get(P, 0)
+                if v1 * v2 < 0:
+                    delta_map[P] = min(abs(v1), abs(v2))
+            table = None
+            if delta_map:
+                table = _division_table(b, model.dp, model1.A + model2.A, delta_map,
+                                        model.A)
+            same = D1 == D2
+            for i1, f1 in enumerate(mem1):
+                seq2 = mem2[i1:] if same else mem2
+                for f2 in seq2:
+                    prod = _product_flat(F, model1, f1, model2, f2)
+                    if table is not None:
+                        prod = _divide_flat(F, table, prod)
+                    prod = _reduce_vec(F, model.zech, model.zpiv, prod)
+                    marked.add(_member_key(F, _normalize_scalar(F, prod)))
         if len(marked) > mf:
             raise AssertionError("marked composite members exceed the fiber-free count")
         total += mf - len(marked)

@@ -246,6 +246,12 @@ def test_main_overrides_and_output_path(tmp_path, capsys):
     assert run_main(tmp_path, document) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["task"] == "predict"
+    unwritable = str(tmp_path / "no_such_dir" / "out.json")
+    assert run_main(tmp_path, doc(MIXED, "classify", output_path=unwritable)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error at params.output_path: ")
+    assert "Traceback" not in captured.err
 
 
 def test_main_budget_override_refuses(tmp_path, capsys):

@@ -102,8 +102,9 @@ def test_three_engines_agree_on_trivial_bundle():
         D = the_class(b0, 2, e)
         want = linsys.fiberfree_count(b0, D)
         model = linsys._model(b0, D)
-        scan = linsys._literal_scan(b0, D, model)
-        tri = linsys._tri_count(b0, D, model, e)
+        pool = linsys._component_pool(b0, D, model)
+        scan = linsys._literal_scan(b0.field, pool, model.basis)
+        tri = linsys._tri_count(b0.field, pool, model.dim)
         assert scan == tri == want
 
 
@@ -121,6 +122,10 @@ def test_prime_counts_frozen_values():
     assert linsys.prime_count(b0, 1, 2) == 24
     for e, want in PRIME_D2.items():
         assert linsys.prime_count(b0, 2, e) == want
+    # F9 runs the product and member keys on extension-field elements
+    b9 = mk(F9, 0, (F9.one,), (F9.one,), (F9.neg(F9.one),))
+    assert linsys.fiberfree_count(b9, the_class(b9, 2, 2)) == 65520
+    assert linsys.prime_count(b9, 2, 2) == 58320
 
 
 def test_prime_composite_subtraction_identity():
@@ -251,21 +256,25 @@ def _pool_fiber_free(F, pool, coords):
     (F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2), 6),
     (F5, 1, (0, 1), (1, 0), (2, 1), 6),
     (F9, 1, (F9.zero, F9.one), (F9.one, F9.zero), ((1, 1), F9.one), 4),
-], ids=["F3-l1", "F3-l2", "F5-l1", "F9-l1"])
+    (F3, 0, (1,), (1,), (2,), 6),
+    (F5, 0, (1,), (1,), (4,), 4),
+    (F9, 0, (F9.one,), (F9.one,), (F9.neg(F9.one),), 2),
+], ids=["F3-l1", "F3-l2", "F5-l1", "F9-l1", "F3-l0", "F5-l0", "F9-l0"])
 def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
     # brute force with field operations only: every member of every small
-    # dp <= 1 class, its flat built from the basis, tested both ways
+    # class the gcd reference covers (dp <= 1 ambient classes, and every
+    # ruled class on l = 0), its flat built from the basis, tested both ways
     bnd = mk(F, l, a, b, c)
     elems = list(F.elements())
     checked = 0
-    for d, e in itertools.product((0, 2), range(-1, e_max + 1)):
+    for d, e in itertools.product((0, 1, 2), range(-1, e_max + 1)):
         for D in picard.classes_of_type(bnd, d, e):
-            model = linsys._model(bnd, D)
+            model = linsys._count_model(bnd, D)
             n = model.dim
             if n == 0 or F.order ** n > 3 ** 8:
                 continue
             D = model.cls
-            pool = linsys._component_pool(bnd, D, model, e)
+            pool = linsys._component_pool(bnd, D, model)
             free = set()
             for coords in itertools.product(elems, repeat=n):
                 if next((x for x in coords if x != F.zero), None) != F.one:
@@ -278,7 +287,7 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
                 if by_gcd:
                     free.add(linsys._member_key(F, flat))
             assert linsys.fiberfree_count(bnd, D) == len(free), D
-            count, members = linsys._literal_scan(bnd, D, model, collect=True)
+            count, members = linsys._literal_scan(F, pool, model.basis, collect=True)
             assert count == len(free)
             assert {linsys._member_key(F, m) for m in members} == free, D
             checked += 1
