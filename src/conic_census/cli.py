@@ -197,8 +197,7 @@ def _parse_params(doc, task, b, cv):
 def _resolved(F, b, cv, task, params):
     coeff_digits = lambda form: [F.to_digits(c) for c in form.coeffs]
     return {
-        "field": {"p": getattr(F, "p", getattr(getattr(F, "base", None), "p", None)),
-                  "n": getattr(F, "degree", 1), "q": F.order},
+        "field": {"p": F.char, "n": F.degree, "q": F.order},
         "bundle": {"l": b.l, "a": coeff_digits(b.a), "b": coeff_digits(b.b),
                    "c": coeff_digits(b.c)},
         "curve": {"genus": cv.genus, "jacobian": cv.jacobian, "l_poly": list(cv.l_poly)},

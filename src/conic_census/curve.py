@@ -9,6 +9,7 @@ happens on P1.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import gf
 from .errors import OutsideConvergenceRegion
@@ -58,7 +59,7 @@ def point_str(F, P):
 
 
 def _coeff_str(F, c):
-    return str(c) if isinstance(c, int) else str(list(F.to_digits(c)))
+    return str(c) if F.degree == 1 else str(F.to_digits(c))
 
 
 def residue_field(F, P):
@@ -74,13 +75,12 @@ def residue_of_poly(F, P, f):
         raise ValueError("affine reduction is undefined at infinity")
     if P.degree == 1:
         return gf.poly_eval(F, f, F.neg(P.poly[0]))
-    K = residue_field(F, P)
-    r = gf.poly_mod(F, f, P.poly)
-    return tuple(r[i] if i < len(r) else F.zero for i in range(P.degree))
+    return residue_field(F, P).reduce(f)
 
 
+@lru_cache(maxsize=None)
 def closed_points_up_to(F, B):
-    """All closed points of P1 of degree <= B, sorted deterministically."""
+    """All closed points of P1 of degree <= B, sorted deterministically, as a tuple."""
     pts = []
     if B >= 1:
         pts.append(INFINITY)
@@ -90,7 +90,7 @@ def closed_points_up_to(F, B):
             if gf.poly_is_irreducible(F, f):
                 pts.append(ClosedPoint(f, n))
     pts.sort(key=lambda P: point_sort_key(F, P))
-    return pts
+    return tuple(pts)
 
 
 def _mobius(m):

@@ -1,10 +1,12 @@
 """Exact arithmetic in F_q for odd q, in extensions of F_q, and in F_q[t].
 
-Elements of a prime field are ints in range(p).  Elements of an extension of
-degree n over its base are tuples of n base elements, low degree first.
-Polynomials over any field are trimmed tuples of elements, constant term
-first; () is the zero polynomial.  Field objects carry the arithmetic and are
-hashable, so they can key caches and sit inside frozen dataclasses.
+Every base field F_q, prime or not, is a `Field` whose elements are the ints
+range(q), coded by their coefficient digits over F_p, with arithmetic by table
+lookup.  The residue fields of closed points of degree n >= 2 are `ExtField`s
+over their base Field, with elements tuples of n base elements, low degree
+first.  Polynomials over any field are trimmed tuples of elements, constant
+term first; () is the zero polynomial.  Field objects carry the arithmetic
+and are hashable, so they can key caches and sit inside frozen dataclasses.
 """
 
 import itertools
@@ -14,120 +16,8 @@ from .errors import CharTwoUnsupported, FieldTooLarge, NotPrime, ZeroElement, Ze
 MAX_BASE_ORDER = 27
 
 
-class PrimeField:
-    """F_p with elements 0..p-1."""
-
-    def __init__(self, p):
-        self.p = p
-        self.char = p
-        self.order = p
-        self.degree = 1
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, k):
-        if k < 0:
-            return pow(self.inv(a), -k, self.p)
-        return pow(a, k, self.p)
-
-    def from_int(self, k):
-        return k % self.p
-
-    def elements(self):
-        return range(self.p)
-
-    def to_index(self, a):
-        return a
-
-    def from_index(self, i):
-        return i
-
-    def to_digits(self, a):
-        return [a]
-
-    def from_digits(self, digits):
-        if len(digits) != 1:
-            raise ValueError("prime field element has one digit")
-        return digits[0] % self.p
-
-    def modulus_digits(self):
-        return [[0], [1]]
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"F{self.p}"
-
-
-class ExtField:
-    """Extension base[x]/(modulus), elements are tuples over the base."""
-
-    def __init__(self, base, modulus):
-        if len(modulus) < 2 or modulus[-1] != base.one:
-            raise ValueError("modulus must be monic of degree >= 1")
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.char = base.char
-        self.degree = len(modulus) - 1
-        self.order = base.order ** self.degree
-        self.zero = (base.zero,) * self.degree
-        self.one = tuple([base.one] + [base.zero] * (self.degree - 1))
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        F, n = self.base, self.degree
-        prod = [F.zero] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x == F.zero:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-        # reduce mod modulus: x^n = -(m_0 + ... + m_{n-1} x^{n-1})
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c == F.zero:
-                continue
-            prod[k] = F.zero
-            for j in range(n):
-                prod[k - n + j] = F.sub(prod[k - n + j], F.mul(c, self.modulus[j]))
-        return tuple(prod[:n])
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.order - 2)
+class _Ops:
+    """Division and powers, from a field's mul and inv."""
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -143,16 +33,142 @@ class ExtField:
             k >>= 1
         return out
 
+
+class Field(_Ops):
+    """F_q = F_p[x]/(modulus) with the ints range(q) as elements.
+
+    The element c_0 + c_1 x + ... + c_{n-1} x^{n-1} is the int whose base-p
+    digits, most significant first, are c_0, ..., c_{n-1}.  Int order is then
+    the lexicographic order of coefficient vectors, and one is p^(n-1).  The
+    prime field has modulus x.  Arithmetic is lookups in tables of q^2
+    entries built once at construction.
+    """
+
+    def __init__(self, p, modulus=(0, 1)):
+        self.char, self.modulus = p, tuple(modulus)
+        self.degree = n = len(modulus) - 1
+        self.order = q = p ** n
+        self.zero, self.one = 0, p ** (n - 1)
+        vecs = [tuple(self.to_digits(a)) for a in range(q)]
+        code = {v: a for a, v in enumerate(vecs)}.__getitem__
+        table = lambda op: tuple(tuple(code(op(u, v)) for v in vecs) for u in vecs)
+        self._add = table(lambda u, v: tuple((x + y) % p for x, y in zip(u, v)))
+        self._sub = table(lambda u, v: tuple((x - y) % p for x, y in zip(u, v)))
+        self._mul = table(lambda u, v: _mul_mod(u, v, self.modulus, p))
+        self._neg = self._sub[0]
+        self._inv = (None,) + tuple(row.index(self.one) for row in self._mul[1:])
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def sub(self, a, b):
+        return self._sub[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return self._inv[a]
+
     def from_int(self, k):
-        return tuple([self.base.from_int(k)] + [self.base.zero] * (self.degree - 1))
+        return k % self.char * self.one
+
+    def elements(self):
+        return range(self.order)
+
+    def to_digits(self, a):
+        """The coefficients c_0, ..., c_{n-1} of a: its base-p digits."""
+        return [a // self.char ** i % self.char for i in range(self.degree - 1, -1, -1)]
+
+    def from_digits(self, digits):
+        if len(digits) != self.degree:
+            raise ValueError("digit vector length mismatch" if len(digits) % self.degree
+                             else "prime field element has one digit")
+        out = 0
+        for c in digits:
+            out = out * self.char + c % self.char
+        return out
+
+    def to_index(self, a):
+        """The index with c_0 least significant: the digits of a reversed."""
+        return self.from_digits(self.to_digits(a)[::-1])
+
+    # reversing the digits twice is the identity
+    from_index = to_index
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.char == self.char and other.modulus == self.modulus
+
+    def __hash__(self):
+        return hash(("Field", self.char, self.modulus))
+
+    def __repr__(self):
+        return f"F{self.order}"
+
+
+def _mul_mod(u, v, modulus, p):
+    """Product of two coefficient vectors over F_p, reduced mod the monic modulus."""
+    n = len(u)
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):  # x^n = -(m_0 + ... + m_{n-1} x^{n-1})
+        for j in range(n):
+            prod[k - n + j] -= prod[k] * modulus[j]
+    return tuple(c % p for c in prod[:n])
+
+
+class ExtField(_Ops):
+    """Extension base[x]/(modulus) of a base Field, elements are tuples over the base.
+
+    Serves the residue fields kappa(P) of closed points of degree >= 2.
+    """
+
+    def __init__(self, base, modulus):
+        if len(modulus) < 2 or modulus[-1] != base.one:
+            raise ValueError("modulus must be monic of degree >= 1")
+        self.base = base
+        self.modulus = tuple(modulus)
+        self.char = base.char
+        self.degree = len(modulus) - 1
+        self.order = base.order ** self.degree
+        self.zero = (base.zero,) * self.degree
+        self.one = self.embed(base.one)
+
+    def add(self, a, b):
+        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(self.base.neg(x) for x in a)
+
+    def mul(self, a, b):
+        return self.reduce(poly_mul(self.base, a, b))
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of 0")
+        return self.pow(a, self.order - 2)
+
+    def reduce(self, f):
+        """The image of a polynomial over the base, f(x) mod the modulus."""
+        r = poly_mod(self.base, f, self.modulus)
+        return r + (self.base.zero,) * (self.degree - len(r))
 
     def embed(self, a):
         """Lift a base field element into this extension."""
-        return tuple([a] + [self.base.zero] * (self.degree - 1))
+        return (a,) + (self.base.zero,) * (self.degree - 1)
 
     def elements(self):
-        for combo in itertools.product(self.base.elements(), repeat=self.degree):
-            yield combo
+        return itertools.product(self.base.elements(), repeat=self.degree)
 
     def to_index(self, a):
         idx = 0
@@ -166,21 +182,6 @@ class ExtField:
             i, r = divmod(i, self.base.order)
             out.append(self.base.from_index(r))
         return tuple(out)
-
-    def to_digits(self, a):
-        out = []
-        for x in a:
-            out.extend(self.base.to_digits(x))
-        return out
-
-    def from_digits(self, digits):
-        step = len(digits) // self.degree
-        if step * self.degree != len(digits):
-            raise ValueError("digit vector length mismatch")
-        return tuple(self.base.from_digits(digits[i * step:(i + 1) * step]) for i in range(self.degree))
-
-    def modulus_digits(self):
-        return [self.base.to_digits(c) for c in self.modulus]
 
     def __eq__(self, other):
         return isinstance(other, ExtField) and other.base == self.base and other.modulus == self.modulus
@@ -211,10 +212,10 @@ def make_field(p, n=1, max_order=MAX_BASE_ORDER):
         raise NotPrime(f"{p} is not prime")
     if p ** n > max_order:
         raise FieldTooLarge(f"q = {p}^{n} = {p ** n} exceeds the cap {max_order}")
-    base = PrimeField(p)
+    base = Field(p)
     if n == 1:
         return base
-    return ExtField(base, canonical_modulus(base, n))
+    return Field(p, canonical_modulus(base, n))
 
 
 def canonical_modulus(F, n):

@@ -536,10 +536,10 @@ def _digit_blocks(F, pool):
 def _member_flat(F, sparse, N, digits):
     """Flat coefficients of the member with the given coordinate digits; sparse
     holds the nonzero (column, entry) pairs of each basis vector."""
-    k, p = F.degree, F.char
+    k = F.degree
     flat = [F.zero] * N
     for t, v in enumerate(sparse):
-        x = F.from_index(sum(digits[t * k + s] * p ** s for s in range(k)))
+        x = F.from_digits(digits[t * k:(t + 1) * k])
         if x != F.zero:
             for i, c in v:
                 flat[i] = F.add(flat[i], F.mul(x, c))
@@ -637,6 +637,8 @@ def _component_pool(b, D, model):
 def _tri_count(F, pool, n):
     """Fiber-free member count of an n-dimensional model by signed sums over
     subsets of its component pool."""
+    if n == 0 or not all(pool):
+        return 0  # every member contains the component of an empty block
     q = F.order
     total = 0
 
@@ -804,8 +806,8 @@ def _divide_flat(F, table, flat_big):
 
 
 def _member_key(F, flat):
-    # one byte per coefficient: base fields have q <= 27 elements
-    return bytes(map(F.to_index, flat))
+    # one byte per coefficient: base field elements are ints below q <= 27
+    return bytes(flat)
 
 
 def _normalize_scalar(F, flat):

@@ -64,11 +64,7 @@ class NumClass:
 
 def _part_key(part):
     P, side, _ = part
-    return ((P.degree, 0, ()) if P.is_infinity else (P.degree, 1, P.poly and tuple(map(_ckey, P.poly))), side)
-
-
-def _ckey(c):
-    return c if isinstance(c, int) else tuple(c)
+    return ((P.degree, 0, ()) if P.is_infinity else (P.degree, 1, P.poly), side)
 
 
 CLASS_H = NumClass.make(1, 0)
@@ -220,7 +216,7 @@ def classes_of_type(b, d, e):
 
 def _class_sort_key(D):
     dp, a, bs = D.canonical()
-    return (Fraction(dp), a, tuple((P.degree, P.is_infinity, _ckey(P.poly) if P.poly else (), c) for P, c in bs))
+    return (Fraction(dp), a, tuple((P.degree, P.is_infinity, P.poly or (), c) for P, c in bs))
 
 
 def decompositions(b, D):

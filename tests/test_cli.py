@@ -1,5 +1,6 @@
 """Config parsing, report plumbing and exit codes for the batch front end."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -283,3 +284,29 @@ def test_main_extension_field_enumerate(tmp_path, capsys):
     height = json.loads(capsys.readouterr().out)["results"]["heights"][0]
     assert height["M_f"] == 4 * 57 + 4 * 64 + 6 * 690
     assert "every singular fiber splits" in height["refused"]
+
+
+def test_main_digit_vector_errors(tmp_path, capsys):
+    for field, digits, message in [({"q": 9}, [1, 1, 1], "digit vector length mismatch"),
+                                   ({"q": 9}, [1, 1, 1, 1], "prime field element has one digit"),
+                                   ({"p": 3}, [1, 2], "prime field element has one digit")]:
+        document = doc(dict(TRIVIAL, field=field,
+                            bundle=dict(TRIVIAL["bundle"], a=[digits])), "classify")
+        assert run_main(tmp_path, document) == 2
+        assert capsys.readouterr().err == f"config error at bundle.a[0]: {message}\n"
+
+
+def test_main_extension_field_report_order_frozen(tmp_path, capsys):
+    # F9 points and classes sort by coefficient digit vectors; the report is
+    # frozen byte for byte, so a change of element coding cannot reorder it
+    document = {"field": {"q": 9},
+                "bundle": {"l": 2, "a": [1, 0, 1], "b": [0, 1, 0], "c": [1, 0, 2]},
+                "task": "enumerate", "params": {"d": 2, "e_list": [0, 1, 2], "budget": 100000}}
+    assert run_main(tmp_path, document) == 3
+    out = capsys.readouterr().out
+    height = json.loads(out)["results"]["heights"][0]
+    assert height["e"] == 0
+    points = [c["point"] for c in height["classes"][0]["class"]["components"]]
+    assert points == ["infinity", "t", "t + [0, 1]", "t + [0, 2]", "t + [1, 0]", "t + [2, 0]"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b62d4e85107190cc33d348984e663faf427665ec31ff8089cea237afd464b00")

@@ -255,7 +255,7 @@ def _pool_fiber_free(F, pool, coords):
     (F3, 1, (0, 1), (1, 0), (1, 1), 8),
     (F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2), 6),
     (F5, 1, (0, 1), (1, 0), (2, 1), 6),
-    (F9, 1, (F9.zero, F9.one), (F9.one, F9.zero), ((1, 1), F9.one), 4),
+    (F9, 1, (F9.zero, F9.one), (F9.one, F9.zero), (F9.from_digits([1, 1]), F9.one), 4),
     (F3, 0, (1,), (1,), (2,), 6),
     (F5, 0, (1,), (1,), (4,), 4),
     (F9, 0, (F9.one,), (F9.one,), (F9.neg(F9.one),), 2),

@@ -210,3 +210,57 @@ def test_residue_field_tower():
             break
     else:
         raise AssertionError("no irreducible quadratic over F9 found")
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)], ids=["F9", "F25", "F27"])
+def test_extension_tables_match_tuple_arithmetic(p, n):
+    # oracle: the same field as tuples over F_p, with polynomial arithmetic
+    F = gf.make_field(p, n)
+    E = gf.ExtField(gf.make_field(p), F.modulus)
+    vec = lambda a: tuple(F.to_digits(a))
+    elems = list(F.elements())
+    assert [vec(a) for a in elems] == list(E.elements())
+    assert vec(F.zero) == E.zero and vec(F.one) == E.one
+    for k in range(-2 * p, 2 * p):
+        assert vec(F.from_int(k)) == E.embed(k % p)
+    for a in elems:
+        assert F.to_index(a) == E.to_index(vec(a))
+        assert F.from_index(E.to_index(vec(a))) == a
+        assert vec(F.neg(a)) == E.neg(vec(a))
+        if a != F.zero:
+            assert vec(F.inv(a)) == E.inv(vec(a))
+        for b in elems:
+            assert vec(F.add(a, b)) == E.add(vec(a), vec(b))
+            assert vec(F.sub(a, b)) == E.sub(vec(a), vec(b))
+            assert vec(F.mul(a, b)) == E.mul(vec(a), vec(b))
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_prime_tables_match_residues(p):
+    F = gf.make_field(p)
+    assert list(F.elements()) == list(range(p)) and (F.zero, F.one) == (0, 1)
+    for a in range(p):
+        assert F.neg(a) == -a % p
+        assert F.to_index(a) == F.from_index(a) == a
+        assert F.to_digits(a) == [a] and F.from_digits([a + p]) == a
+        assert F.from_int(a - p) == a
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+        for b in range(p):
+            assert F.add(a, b) == (a + b) % p
+            assert F.sub(a, b) == (a - b) % p
+            assert F.mul(a, b) == a * b % p
+
+
+def test_from_digits_messages():
+    F3, F9, F27 = gf.make_field(3), gf.make_field(3, 2), gf.make_field(3, 3)
+    for F, digits, message in [(F9, [1, 1, 1], "digit vector length mismatch"),
+                               (F27, [1, 1], "digit vector length mismatch"),
+                               (F9, [1, 1, 1, 1], "prime field element has one digit"),
+                               (F3, [1, 2], "prime field element has one digit")]:
+        with pytest.raises(ValueError) as info:
+            F.from_digits(digits)
+        assert str(info.value) == message
+    assert F9.from_digits([1, 1]) == F9.add(F9.one, F9.from_index(3))
