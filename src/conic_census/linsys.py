@@ -15,10 +15,12 @@ e/2 and an identity basis.  That model covers the half-integer dprime classes
 of odd fiber degree, and every l = 0 count runs on it.
 
 Both models share one set of engines.  The subset sum over the component
-pool counts fiber-free members; the literal scan over the same pool collects
-them for the irreducible count.  The runtime cross-checks are the literal
-scan against the subset sum on ambient models and the divisor sieve of the
-projective line against the subset sum on ruled models.
+pool counts fiber-free members.  The runtime cross-checks are the literal
+scan over the same pool against the subset sum on ambient models and the
+divisor sieve of the projective line against the subset sum on ruled models.
+Fiber-free divisors form the free commutative monoid on the horizontal prime
+divisors, so the irreducible counts follow from the fiber-free counts of the
+sub-classes by a recursion on the fiber degree; no member is built.
 """
 
 from dataclasses import dataclass
@@ -533,21 +535,8 @@ def _digit_blocks(F, pool):
     return blocks
 
 
-def _member_flat(F, sparse, N, digits):
-    """Flat coefficients of the member with the given coordinate digits; sparse
-    holds the nonzero (column, entry) pairs of each basis vector."""
-    k = F.degree
-    flat = [F.zero] * N
-    for t, v in enumerate(sparse):
-        x = F.from_digits(digits[t * k:(t + 1) * k])
-        if x != F.zero:
-            for i, c in v:
-                flat[i] = F.add(flat[i], F.mul(x, c))
-    return tuple(flat)
-
-
-def _literal_scan(F, pool, basis, collect=False):
-    """Count (and with collect, list) the fiber-free members of a model one by one.
+def _literal_scan(F, pool, basis):
+    """Count the fiber-free members of a model one by one.
 
     A member is fiber-free when it clears every block of the component pool
     that the subset sum runs over.  Members are scanned once per scalar class,
@@ -555,18 +544,16 @@ def _literal_scan(F, pool, basis, collect=False):
     """
     p, k, n = F.char, F.degree, len(basis)
     if n == 0:
-        return (0, []) if collect else 0
+        return 0
     blocks = _digit_blocks(F, pool)
     if any(not blk for blk in blocks):
-        return (0, []) if collect else 0
-    sparse = [[(i, c) for i, c in enumerate(v) if c != F.zero] for v in basis]
+        return 0
     total = (F.order ** n - 1) // (F.order - 1)
     width = n * k
     digits = [0] * width
     digits[0] = 1
     j = 0
     count = 0
-    members = []
     idx = 0
     while True:
         ok = True
@@ -584,8 +571,6 @@ def _literal_scan(F, pool, basis, collect=False):
                 break
         if ok:
             count += 1
-            if collect:
-                members.append(_member_flat(F, sparse, len(basis[0]), digits))
         idx += 1
         if idx >= total:
             break
@@ -601,7 +586,7 @@ def _literal_scan(F, pool, basis, collect=False):
                 j += 1
                 digits[j * k] = 1
                 break
-    return (count, members) if collect else count
+    return count
 
 
 # --- inclusion-exclusion over component subsets ---
@@ -727,167 +712,85 @@ def fiberfree_count(b, D, budget=None):
     return _fiberfree(b, Dn)
 
 
-# --- products of members and the prime sieve ---
+# --- irreducible counts by unique factorization ---
+
+
+def _divide(b, D, k):
+    """The lattice class D/k, normalized, or None when D is not k times a class.
+
+    On l = 0 the quotient may have a half-integer dprime.
+    """
+    dp, a, parts = D.canonical()
+    dp = Fraction(dp, k)
+    if dp.denominator > (2 if b.l == 0 else 1) or a % k or any(c % k for _, c in parts):
+        return None
+    return picard.class_from_canonical(dp, a // k, {P: c // k for P, c in parts})
+
+
+def _weighted(b, E, k0=1):
+    """c(E) = sum of d(E/k) I(E/k) over the lattice classes E/k, here for k >= k0."""
+    d, _ = picard.type_of(b, E)
+    quotients = ((k, _divide(b, E, k)) for k in range(k0, d + 1))
+    return sum(d // k * _prime(b, Ek) for k, Ek in quotients if Ek is not None)
+
+
+def _factor_pairs(b, D):
+    """Unordered pairs D1 + D2 = D whose classes both have fiber-free members
+    of positive fiber degree: vertical classes (dprime 0) have none."""
+    return [(D1, D2) for D1, D2 in picard.decompositions(b, D) if D1.dprime and D2.dprime]
 
 
 @lru_cache(maxsize=None)
-def _product_layout(monos1, W1, monos2, W2):
-    """Flat size of a product and the flat offset of each pair of input monomials.
+def _prime(b, D):
+    """Prime count I(D) of a class with d = D.F >= 1, from fiber-free counts N.
 
-    Both model layouts list their monomials in descending lex order, so the
-    product lists the sums of input monomials in that order too; its
-    coefficient forms have W1 + W2 - 1 coefficients.
+    Fiber-free divisors are the free commutative monoid on the horizontal
+    primes, so d N(D) = sum over E + R = D, E != 0, of c(E) N(R), with N(0) = 1
+    and c(E) = sum over k D' = E of d(D') I(D').  The term R = 0 is c(D), which
+    holds d I(D); the terms with R != 0 are the factor pairs in both orders.
     """
-    add = lambda m1, m2: tuple(x + y for x, y in zip(m1, m2))
-    monos = sorted({add(m1, m2) for m1 in monos1 for m2 in monos2}, reverse=True)
-    midx = {mm: i for i, mm in enumerate(monos)}
-    W = W1 + W2 - 1
-    offsets = tuple(tuple(midx[add(m1, m2)] * W for m2 in monos2) for m1 in monos1)
-    return len(monos) * W, offsets
-
-
-def _product_flat(F, model1, flat1, model2, flat2):
-    """Flat coefficients of the product of two members' forms."""
-    W1, W2 = model1.A + 1, model2.A + 1
-    size, offsets = _product_layout(model1.monos, W1, model2.monos, W2)
-    terms2 = [(*divmod(k2, W2), c2) for k2, c2 in enumerate(flat2) if c2 != F.zero]
-    add, mul = F.add, F.mul
-    out = [F.zero] * size
-    for k1, c1 in enumerate(flat1):
-        if c1 == F.zero:
-            continue
-        i1, t1 = divmod(k1, W1)
-        base = offsets[i1]
-        for i2, t2, c2 in terms2:
-            k = base[i2] + t1 + t2
-            out[k] = add(out[k], mul(c1, c2))
-    return out
-
-
-def _division_table(b, dp, A_big, delta_map, A_out):
-    """Echelon rewriting p^delta multiples modulo the conic as (dp, A_out) flats."""
-    F = b.field
-    monos = monomial_basis(dp)
-    midx = {mm: i for i, mm in enumerate(monos)}
-    N_big = len(monos) * (A_big + 1)
-    n_units = len(monos) * (A_out + 1)
-    power = BinaryForm(0, (F.one,))
-    for P, mult in delta_map.items():
-        pf = point_form(F, P)
-        for _ in range(mult):
-            power = bf_mul(F, power, pf)
-    rows = []
-    for mi, mm in enumerate(monos):
-        for tau in range(A_out + 1):
-            row = [F.zero] * (N_big + n_units)
-            base = midx[mm] * (A_big + 1)
-            for k, cf in enumerate(power.coeffs):
-                if cf != F.zero:
-                    row[base + tau + k] = cf
-            row[N_big + mi * (A_out + 1) + tau] = F.one
-            rows.append(row)
-    for zr in _z_source_rows(b, dp, A_big):
-        rows.append(list(zr) + [F.zero] * n_units)
-    ech, piv = _rref(F, rows, N_big)
-    return ech, piv, N_big, n_units
-
-
-def _divide_flat(F, table, flat_big):
-    """Solve p^delta * h + conic * u = flat and return the flat of h."""
-    ech, piv, N_big, n_units = table
-    x = list(flat_big) + [F.zero] * n_units
-    for row, pc in zip(ech, piv):
-        c = x[pc]
-        if c != F.zero:
-            x = [F.sub(a, F.mul(c, r)) for a, r in zip(x, row)]
-    if any(c != F.zero for c in x[:N_big]):
-        raise AssertionError("product is not divisible by the forced fiber power")
-    return [F.neg(c) for c in x[N_big:]]
-
-
-def _member_key(F, flat):
-    # one byte per coefficient: base field elements are ints below q <= 27
-    return bytes(flat)
-
-
-def _normalize_scalar(F, flat):
-    lead = next((c for c in flat if c != F.zero), None)
-    if lead is None:
-        raise AssertionError("zero member escaped enumeration")
-    if lead == F.one:
-        return flat
-    inv = F.inv(lead)
-    return [F.mul(inv, c) for c in flat]
+    d, _ = picard.type_of(b, D)
+    n = fiberfree_count(b, D)
+    total = d * n - _weighted(b, D, 2)
+    for D1, D2 in _factor_pairs(b, D):
+        for E, R in ((D1, D2),) if D1 == D2 else ((D1, D2), (D2, D1)):
+            nr = fiberfree_count(b, R)
+            if nr:
+                total -= _weighted(b, E) * nr
+    if total % d or not 0 <= total // d <= n:
+        raise AssertionError(
+            f"prime-count identity fails: d I(D) = {total} with d = {d}, N(D) = {n}")
+    return total // d
 
 
 def prime_count(b, d, e, budget=None):
-    """Irreducible fiber-free multisections of type (d, e), by marked-set subtraction."""
+    """Irreducible fiber-free multisections of type (d, e): the sum of I(D) over
+    the classes of the type, by unique factorization (`_prime`).
+
+    No member is built.  The identity raises AssertionError when it gives
+    I(D) < 0 or I(D) > N(D), or a sum that d does not divide.  The q^dim
+    budget covers each class and its factor classes.
+    """
     budget = DEFAULT_BUDGET if budget is None else budget
-    F = b.field
-    q = F.order
+    if d < 1:
+        return 0  # every horizontal prime divisor has D.F >= 1
     if d % 2 and b.l > 0:
         raise OddDegreeUnsupported(
             "odd fiber degree requires the ruled model, available only for l = 0")
     if b.l > 0 and b.generic_fiber_trivial:
+        # odd-degree primes outside the lattice break the identity; the message
+        # is kept as it was, since refused reports carry it
         raise OddDegreeUnsupported(
             "every singular fiber splits, so odd-degree multisections exist but the "
             "integer class lattice cannot represent them; the marked set would be "
             "incomplete for any d")
-    used = 0
     total = 0
-    member_cache = {}
-
-    def members_of(D1):
-        if D1 not in member_cache:
-            model1 = _count_model(b, D1)
-            _check_budget(q, model1.dim, budget - used)
-            cnt, mem = _literal_scan(F, _component_pool(b, D1, model1), model1.basis,
-                                     collect=True)
-            mf1 = fiberfree_count(b, D1, budget=budget)
-            if cnt != mf1:
-                raise AssertionError(f"factor engines disagree: {cnt} != {mf1}")
-            member_cache[D1] = (mem, model1)
-        return member_cache[D1]
-
     for D in picard.classes_of_type(b, d, e):
-        mf = fiberfree_count(b, D, budget=budget)
-        model = _count_model(b, D)
-        marked = set()
-        for D1, D2 in picard.decompositions(b, D):
-            if D1.dprime == 0 or D2.dprime == 0:
-                continue
-            mem1, model1 = members_of(D1)
-            mem2, model2 = members_of(D2)
-            if not mem1 or not mem2:
-                continue
-            used += len(mem1) * len(mem2)
-            if used > budget:
-                raise EnumerationBudgetExceeded(
-                    f"{used} product steps exceed the budget {budget}")
-            _, _, c1 = D1.canonical()
-            _, _, c2 = D2.canonical()
-            m1map, m2map = dict(c1), dict(c2)
-            delta_map = {}
-            for P in set(m1map) | set(m2map):
-                v1, v2 = m1map.get(P, 0), m2map.get(P, 0)
-                if v1 * v2 < 0:
-                    delta_map[P] = min(abs(v1), abs(v2))
-            table = None
-            if delta_map:
-                table = _division_table(b, model.dp, model1.A + model2.A, delta_map,
-                                        model.A)
-            same = D1 == D2
-            for i1, f1 in enumerate(mem1):
-                seq2 = mem2[i1:] if same else mem2
-                for f2 in seq2:
-                    prod = _product_flat(F, model1, f1, model2, f2)
-                    if table is not None:
-                        prod = _divide_flat(F, table, prod)
-                    prod = _reduce_vec(F, model.zech, model.zpiv, prod)
-                    marked.add(_member_key(F, _normalize_scalar(F, prod)))
-        if len(marked) > mf:
-            raise AssertionError("marked composite members exceed the fiber-free count")
-        total += mf - len(marked)
+        # the budget covers the class and its factor classes on every call,
+        # memoized or not; the recursion reads the counts of all of them
+        for X in [D, *(part for pair in _factor_pairs(b, D) for part in pair)]:
+            fiberfree_count(b, X, budget=budget)
+        total += _prime(b, D)
     return total
 
 

@@ -264,7 +264,8 @@ def test_main_budget_override_refuses(tmp_path, capsys):
 
 
 def test_main_internal_check_exit_code(tmp_path, capsys):
-    # d=4 marking on this l=2 bundle trips an engine assertion (ROADMAP item 2);
+    # at d=4 on this l=2 bundle the prime-count identity gives I(2H - F) < 0,
+    # an engine assertion (ROADMAP item 2);
     # the CLI reports it as one line and exit code 4, never a traceback
     double = {"field": {"p": 3},
               "bundle": {"l": 2, "a": [1, 0, 1], "b": [0, 1, 0], "c": [1, 0, 2]}}

@@ -114,15 +114,22 @@ def test_budget_refusal_is_not_truncation():
         linsys.fiberfree_count(b0, the_class(b0, 2, 8), budget=100)
     with pytest.raises(EnumerationBudgetExceeded):
         linsys.prime_count(b0, 2, 8, budget=100)
+    # the memoized prime counts still refuse a too-small budget
+    assert linsys.prime_count(b0, 2, 4) == PRIME_D2[4]
+    with pytest.raises(EnumerationBudgetExceeded):
+        linsys.prime_count(b0, 2, 4, budget=100)
 
 
 def test_prime_counts_frozen_values():
     b0 = b_trivial()
     assert linsys.prime_count(b0, 2, 0) == 3
+    # the empty divisor is no prime, and no horizontal prime has d < 1
+    assert linsys.prime_count(b0, 0, 0) == 0
+    assert linsys.prime_count(b_mixed(), 0, 0) == 0
     assert linsys.prime_count(b0, 1, 2) == 24
     for e, want in PRIME_D2.items():
         assert linsys.prime_count(b0, 2, e) == want
-    # F9 runs the product and member keys on extension-field elements
+    # F9 runs the recursion on an extension-field bundle
     b9 = mk(F9, 0, (F9.one,), (F9.one,), (F9.neg(F9.one),))
     assert linsys.fiberfree_count(b9, the_class(b9, 2, 2)) == 65520
     assert linsys.prime_count(b9, 2, 2) == 58320
@@ -157,11 +164,69 @@ def test_prime_d2_on_split_bundle_has_no_composites():
 
 
 def test_prime_d4_division_path_regression():
-    # engine-frozen values; the two scan engines and the exact fiber-power
-    # division agree internally on every decomposition
+    # engine-frozen values; every sub-class count the prime-count recursion
+    # reads is cross-checked by a second engine
     b1 = b_mixed()
     assert linsys.prime_count(b1, 4, 2) == 225
     assert linsys.prime_count(b1, 4, 3) == 4656
+    assert linsys.prime_count(b_catalog_l1(gf.make_field(7)), 4, 2) == 17283
+
+
+def _member_flats(F, model):
+    """(coords, flat) of every member of a model, one per scalar class (leading
+    coordinate 1), the flat built from the basis with field operations only."""
+    for coords in itertools.product(list(F.elements()), repeat=model.dim):
+        if next((x for x in coords if x != F.zero), None) != F.one:
+            continue
+        flat = [F.zero] * model.N
+        for x, v in zip(coords, model.basis):
+            flat = [F.add(y, F.mul(x, cv)) for y, cv in zip(flat, v)]
+        yield coords, flat
+
+
+def _ruled_members(b, D):
+    """Fiber-free members of a ruled class by the gcd reference, as dicts
+    {(i, t): c} for the coefficient of x0^(delta - i) x1^i t^t."""
+    model = linsys._count_model(b, D)
+    width = model.A + 1
+    return [{divmod(k, width): c for k, c in enumerate(flat) if c != b.field.zero}
+            for _, flat in _member_flats(b.field, model)
+            if _gcd_fiber_free(b, D, model, flat)]
+
+
+def _ruled_product_key(F, f1, f2):
+    """The product of two ruled members with its leading coefficient scaled to 1."""
+    prod = {}
+    for (i1, t1), c1 in f1.items():
+        for (i2, t2), c2 in f2.items():
+            key = (i1 + i2, t1 + t2)
+            prod[key] = F.add(prod.get(key, F.zero), F.mul(c1, c2))
+    terms = sorted((k, c) for k, c in prod.items() if c != F.zero)
+    inv = F.inv(terms[0][1])
+    return tuple((k, F.mul(inv, c)) for k, c in terms)
+
+
+@pytest.mark.parametrize("F, d, e", [
+    (F3, 2, 0), (F3, 2, 2), (F3, 2, 4), (F3, 3, 2), (F9, 2, 2),
+], ids=["F3-d2-e0", "F3-d2-e2", "F3-d2-e4", "F3-d3-e2", "F9-d2-e2"])
+def test_prime_count_matches_brute_force_marking(F, d, e):
+    # on the ruled model a product is plain bidegree multiplication: no conic
+    # reduction and no fiber-power division, so marking every product of two
+    # fiber-free members is an independent count of the composite members
+    b = mk(F, 0, (F.one,), (F.one,), (F.neg(F.one),))
+    D = the_class(b, d, e)
+    members = {}
+    composites = set()
+    for D1, D2 in picard.decompositions(b, D):
+        if D1.dprime == 0 or D2.dprime == 0:
+            continue
+        for X in (D1, D2):
+            if X not in members:
+                members[X] = _ruled_members(b, X)
+        for i1, f1 in enumerate(members[D1]):
+            for f2 in members[D2][i1:] if D1 == D2 else members[D2]:
+                composites.add(_ruled_product_key(F, f1, f2))
+    assert linsys.fiberfree_count(b, D) - len(composites) == linsys.prime_count(b, d, e)
 
 
 def test_odd_degree_refusals():
@@ -265,7 +330,6 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
     # class the gcd reference covers (dp <= 1 ambient classes, and every
     # ruled class on l = 0), its flat built from the basis, tested both ways
     bnd = mk(F, l, a, b, c)
-    elems = list(F.elements())
     checked = 0
     for d, e in itertools.product((0, 1, 2), range(-1, e_max + 1)):
         for D in picard.classes_of_type(bnd, d, e):
@@ -276,19 +340,12 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
             D = model.cls
             pool = linsys._component_pool(bnd, D, model)
             free = set()
-            for coords in itertools.product(elems, repeat=n):
-                if next((x for x in coords if x != F.zero), None) != F.one:
-                    continue
-                flat = [F.zero] * model.N
-                for x, v in zip(coords, model.basis):
-                    flat = [F.add(y, F.mul(x, cv)) for y, cv in zip(flat, v)]
+            for coords, flat in _member_flats(F, model):
                 by_gcd = _gcd_fiber_free(bnd, D, model, flat)
                 assert by_gcd == _pool_fiber_free(F, pool, coords), (D, coords)
                 if by_gcd:
-                    free.add(linsys._member_key(F, flat))
+                    free.add(tuple(flat))
             assert linsys.fiberfree_count(bnd, D) == len(free), D
-            count, members = linsys._literal_scan(F, pool, model.basis, collect=True)
-            assert count == len(free)
-            assert {linsys._member_key(F, m) for m in members} == free, D
+            assert linsys._literal_scan(F, pool, model.basis) == len(free), D
             checked += 1
     assert checked >= 4
