@@ -311,3 +311,16 @@ def test_main_extension_field_report_order_frozen(tmp_path, capsys):
     assert points == ["infinity", "t", "t + [0, 1]", "t + [0, 2]", "t + [1, 0]", "t + [2, 0]"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7b62d4e85107190cc33d348984e663faf427665ec31ff8089cea237afd464b00")
+
+
+@pytest.mark.parametrize("s, digest", [
+    (2, "31046b8964842ecafdfab0c60d6c10e490e543bbbe59310539085448bb196587"),
+    (3, "50fa585f369f6f72f8ced5e37d03e8d38e19589fe0fb75663b48deb81ae35e92")], ids=["s2", "s3"])
+def test_main_zeta_report_frozen(tmp_path, capsys, s, digest):
+    # the s = 2 config is the benchmark's zeta workload; both reports are
+    # frozen byte for byte, so exact truncations cannot drift in any digit
+    document = {"field": {"p": 3}, "bundle": {"l": 0, "a": [1], "b": [1], "c": [2]},
+                "task": "zeta", "params": {"s": s}}
+    assert run_main(tmp_path, document) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

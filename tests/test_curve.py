@@ -1,6 +1,8 @@
 """Closed-point enumeration and zeta identities."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -59,6 +61,42 @@ def test_zeta_truncated_values():
     F3 = gf.make_field(3)
     assert curve.zeta_truncated(F3, 3, 1) == Fraction(27, 26) ** 4
     assert curve.zeta_truncated(F3, 2, 1) == Fraction(9, 8) ** 4
+
+
+def _stepwise_product(q, s, B):
+    # the reference: one normalized Fraction product per degree
+    out = Fraction(1)
+    for m in range(1, B + 1):
+        out *= (1 - Fraction(1, q ** (s * m))) ** (-curve.point_count(q, m))
+    return out
+
+
+@pytest.mark.parametrize("p, n, top", [(3, 1, 8), (5, 1, 5), (3, 2, 4), (5, 2, 2), (3, 3, 2)])
+def test_zeta_truncated_matches_fraction_product(p, n, top):
+    F = gf.make_field(p, n)
+    for s in (2, 3, 5):
+        for B in range(top + 1):
+            got = curve.zeta_truncated(F, s, B)
+            assert got == _stepwise_product(F.order, s, B)
+            assert type(got) is Fraction
+            assert got.denominator > 0
+            assert math.gcd(got.numerator, got.denominator) == 1
+
+
+def test_zeta_truncated_makes_no_gcd_calls(monkeypatch):
+    calls = []
+    gcd = math.gcd
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting)
+    curve.zeta_truncated(gf.make_field(3), 2, 10)
+    assert len(calls) == 0
+    # the coprimality check is live: a denominator divisible by p is refused
+    with pytest.raises(AssertionError, match="divisible by p = 2"):
+        curve.zeta_truncated(SimpleNamespace(order=3, char=2), 2, 1)
 
 
 def test_zeta_truncated_monotone_and_bounded():
