@@ -7,7 +7,7 @@ config, same bytes.  Every number is an exact integer,
 an exact "num/den" string, or a decimal string tagged with its precision and
 produced by integer square roots, never binary floats.  --timings adds
 wall-clock data and knowingly gives up byte-determinism.  --jobs is accepted
-for compatibility and has no effect: every scan runs in one thread.
+for compatibility and has no effect: every count runs in one thread.
 
 Exit codes: 0 success, 2 bad config, 3 refused enumeration (budget exhausted
 or a fiber degree the class lattice cannot represent), 4 internal check
@@ -224,17 +224,13 @@ def parse_config(text):
     return RunConfig(F, b, cv, task, params, _resolved(F, b, cv, task, params))
 
 
-def _frac_str(x):
-    return str(x)
-
-
 def _sqrt_obj(x, precision):
     return {"u": str(x.u), "v": str(x.v), "q": x.q,
             "decimal": x.to_decimal(precision), "precision": precision}
 
 
 def _class_obj(F, D):
-    return {"dprime": _frac_str(D.dprime), "a": D.a,
+    return {"dprime": str(D.dprime), "a": D.a,
             "components": [{"point": curve.point_str(F, P), "side": side, "coeff": c}
                            for P, side, c in D.parts]}
 
@@ -257,7 +253,7 @@ def _task_predict(cfg):
     d, prec = prm["d"], prm["precision"]
     q = b.field.order
     results = {
-        "zeta": _frac_str(curve.zeta_value(cv, b.field, d + 1)),
+        "zeta": str(curve.zeta_value(cv, b.field, d + 1)),
         "a": _sqrt_obj(census.a_const(q, cv.genus, b.l, d), prec),
         "K": _sqrt_obj(census.K_const(b, d), prec),
         "leading_coeff": _sqrt_obj(census.leading_coeff(b, cv, d), prec),
@@ -326,7 +322,7 @@ def _task_zeta(cfg):
     s, prec = prm["s"], prm["precision"]
     gap_prec = max(prec, 50)
     closed = curve.zeta_value(cv, F, s)
-    results = {"s": s, "closed_form": _frac_str(closed), "truncations": []}
+    results = {"s": s, "closed_form": str(closed), "truncations": []}
     if cv.genus == 0:
         last = None
         for depth in range(1, ZETA_TRUNC_DEPTH + 1):

@@ -14,10 +14,9 @@ laid out like an ambient model with monomials (d - i, i), coefficient degree
 e/2 and an identity basis.  That model covers the half-integer dprime classes
 of odd fiber degree, and every l = 0 count runs on it.
 
-Both models share one set of engines.  The subset sum over the component
-pool counts fiber-free members.  The runtime cross-checks are the literal
-scan over the same pool against the subset sum on ambient models and the
-divisor sieve of the projective line against the subset sum on ruled models.
+Both models share one counting engine: the subset sum over the component
+pool counts fiber-free members, and a class whose space has more than the
+budget's q^dim vectors is refused before it is counted.
 Fiber-free divisors form the free commutative monoid on the horizontal prime
 divisors, so the irreducible counts follow from the fiber-free counts of the
 sub-classes by a recursion on the fiber degree; no member is built.
@@ -509,86 +508,6 @@ def proportion_product(b, D, S):
     return Fraction(1, b.field.order ** expo)
 
 
-# --- member enumeration ---
-
-
-def _digit_blocks(F, pool):
-    """Pool blocks as sparse F_p rows over the digits of the basis coordinates.
-
-    F_q is an F_p-vector space on 1, alpha, ..., alpha^(k-1), so a member
-    coordinate x_t is k digits and position t*k + s holds the alpha^s digit;
-    an F_q row r vanishes on a member exactly when its k digit rows
-    row_sig[(t, s)] = digit sig of r[t] * alpha^s all vanish.
-    """
-    k = F.degree
-    alpha = [F.from_index(F.char ** s) for s in range(k)]
-    blocks = []
-    for block in pool:
-        rows = []
-        for r in block:
-            digits = [[F.to_digits(F.mul(c, a)) for a in alpha] for c in r]
-            for sig in range(k):
-                rows.append(tuple((t * k + s, ds[s][sig])
-                                  for t, ds in enumerate(digits)
-                                  for s in range(k) if ds[s][sig]))
-        blocks.append(rows)
-    return blocks
-
-
-def _literal_scan(F, pool, basis):
-    """Count the fiber-free members of a model one by one.
-
-    A member is fiber-free when it clears every block of the component pool
-    that the subset sum runs over.  Members are scanned once per scalar class,
-    leading coordinate 1, as base-p digit vectors.
-    """
-    p, k, n = F.char, F.degree, len(basis)
-    if n == 0:
-        return 0
-    blocks = _digit_blocks(F, pool)
-    if any(not blk for blk in blocks):
-        return 0
-    total = (F.order ** n - 1) // (F.order - 1)
-    width = n * k
-    digits = [0] * width
-    digits[0] = 1
-    j = 0
-    count = 0
-    idx = 0
-    while True:
-        ok = True
-        for blk in blocks:
-            hit = True
-            for row in blk:
-                s = 0
-                for i, c in row:
-                    s += c * digits[i]
-                if s % p:
-                    hit = False
-                    break
-            if hit:
-                ok = False
-                break
-        if ok:
-            count += 1
-        idx += 1
-        if idx >= total:
-            break
-        pos = width - 1
-        while True:
-            digits[pos] += 1
-            if digits[pos] < p:
-                break
-            digits[pos] = 0
-            pos -= 1
-            if pos < (j + 1) * k:
-                digits[j * k] = 0
-                j += 1
-                digits[j * k] = 1
-                break
-    return count
-
-
 # --- inclusion-exclusion over component subsets ---
 
 
@@ -647,22 +566,15 @@ def _tri_count(F, pool, n):
     return total // (q - 1)
 
 
-def _ruled_sieve(q, delta, beta):
-    """Fiber-free count of the bidegree (delta, beta) system through the
-    divisor sieve of the projective line."""
-    r = delta + 1
-    coef = (1, -(q + 1), q)
-    total = sum(c * (q ** (r * (beta - k + 1)) - 1)
-                for k, c in enumerate(coef) if k <= beta)
-    if total % (q - 1):
-        raise AssertionError("sieve total is not divisible by the scalar count")
-    return total // (q - 1)
-
-
 # --- fiber-free counting ---
 
 
 def _check_budget(q, dim, budget):
+    """Refuse a class whose section space has more than budget vectors.
+
+    The refusal is a size rule on q^dim; no member is scanned.  Its wording
+    predates that and is kept, since refused reports carry it.
+    """
     steps = q ** dim
     if steps > budget:
         raise EnumerationBudgetExceeded(
@@ -679,24 +591,14 @@ def _count_model(b, D):
 
 @lru_cache(maxsize=None)
 def _fiberfree(b, D):
-    """Subset-sum count of a normalized class, checked against a second engine."""
-    F = b.field
+    """Fiber-free count of a normalized class: the subset sum over its pool."""
     model = _count_model(b, D)
-    pool = _component_pool(b, D, model)
-    tri = _tri_count(F, pool, model.dim)
-    if model.kind == "param":
-        sieve = _ruled_sieve(F.order, len(model.monos) - 1, model.A)
-        if tri != sieve:
-            raise AssertionError(f"ruled engines disagree: {tri} != {sieve}")
-    else:
-        scan = _literal_scan(F, pool, model.basis)
-        if scan != tri:
-            raise AssertionError(f"scan and subset-sum engines disagree: {scan} != {tri}")
-    return tri
+    return _tri_count(b.field, _component_pool(b, D, model), model.dim)
 
 
 def fiberfree_count(b, D, budget=None):
-    """Members of |D| whose divisor contains no fiber component."""
+    """Members of |D| whose divisor contains no fiber component, counted by
+    the subset sum (`_fiberfree`) once the q^dim budget admits the class."""
     budget = DEFAULT_BUDGET if budget is None else budget
     Dn = picard.normalize(b, D)
     d, e = picard.type_of(b, Dn)

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 
+import oracles
 from conic_census import census, cli, curve, gf, linsys, picard
 from conic_census.bundle import FiberClass, validate_bundle
 from conic_census.census import sqrt_power, sqrtq
@@ -205,7 +206,11 @@ def test_05_direct_scan_matches_inclusion_exclusion():
 
                 add_terms(0, [], 0)
                 assert total % (q - 1) == 0
-                assert linsys.fiberfree_count(b, D) == total // (q - 1), (b.l, e, D)
+                # the direct scan: every member of the model that counts the class
+                model = linsys._count_model(b, D)
+                pool = linsys._component_pool(b, model.cls, model)
+                scan = oracles.scan_fiberfree(b.field, pool, model.dim)
+                assert scan == linsys.fiberfree_count(b, D) == total // (q - 1), (b.l, e, D)
                 checked += 1
     assert checked > 12
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conic_census import bundle, curve, gf, linsys, picard
 from conic_census.bundle import BinaryForm, bf_mul
 from conic_census.errors import EnumerationBudgetExceeded, OddDegreeUnsupported
-from conic_census.linsys import section_space
 from conic_census.picard import NumClass
 
 F3 = gf.make_field(3)
@@ -64,16 +64,33 @@ def test_fiberfree_trivial_bundle_frozen_values():
         assert linsys.fiberfree_count(b0, the_class(b0, 1, e)) == want
 
 
+def p1_fiberfree(q, d, e):
+    """Coprime-pair Mobius count of the bidegree (d, e/2) system on P1 x P1:
+    (q^{r(B+1)} - (q+1) q^{rB} + q q^{r(B-1)}) / (q - 1), with r = d + 1 and
+    B = e/2.  At B = 0 no fiber is in reach and every member is fiber-free."""
+    r, B = d + 1, e // 2
+    if B == 0:
+        return (q ** r - 1) // (q - 1)
+    return (q ** (r * (B + 1)) - (q + 1) * q ** (r * B) + q * q ** (r * (B - 1))) // (q - 1)
+
+
 def test_fiberfree_closed_form_identity():
-    # coprime-pair Mobius count: q^{r(A+1)} - (q+1)q^{rA} + q*q^{r(A-1)}, r=d+1
-    q = 3
     for d, table in ((1, FIBERFREE_D1), (2, FIBERFREE_D2)):
-        r = d + 1
         for e, want in table.items():
-            A = e // 2
-            total = sum(c * q ** (r * max(A - k + 1, 0))
-                        for k, c in enumerate((1, -(q + 1), q)))
-            assert want == total // (q - 1)
+            assert want == p1_fiberfree(3, d, e)
+    # every l = 0 count runs the subset sum on the ruled model, and nothing
+    # checks it against the closed form at run time; this test does.  The
+    # budget is only a q^dim size rule, so it is lifted for the larger spaces.
+    # The F9 bundle is perfbench's extfield_f9 bundle (c = 2 = -1).
+    cases = [(F3, d, range(0, 9, 2)) for d in (1, 2, 3, 4)]
+    cases += [(F5, d, (0, 2, 4)) for d in (1, 2, 3)]
+    cases += [(F9, 1, (0, 2, 4)), (F9, 2, (0, 2)), (F9, 3, (0, 2))]
+    cases += [(F, d, (0, 2)) for F in (F25, F27) for d in (1, 2)]
+    for F, d, heights in cases:
+        b = mk(F, 0, (F.one,), (F.one,), (F.neg(F.one),))
+        for e in heights:
+            got = linsys.fiberfree_count(b, the_class(b, d, e), budget=10 ** 12)
+            assert got == p1_fiberfree(F.order, d, e), (F.order, d, e)
 
 
 def test_fiberfree_edges():
@@ -96,16 +113,31 @@ def test_fiberfree_split_conditions_frozen():
 
 
 def test_three_engines_agree_on_trivial_bundle():
-    # ruled count == ambient literal scan == subset inclusion-exclusion
+    # ruled count == scan oracle on the ambient model == subset sum there
     b0 = b_trivial()
     for e in (0, 2, 4):
         D = the_class(b0, 2, e)
         want = linsys.fiberfree_count(b0, D)
         model = linsys._model(b0, D)
         pool = linsys._component_pool(b0, D, model)
-        scan = linsys._literal_scan(b0.field, pool, model.basis)
+        scan = oracles.scan_fiberfree(b0.field, pool, model.dim)
         tri = linsys._tri_count(b0.field, pool, model.dim)
         assert scan == tri == want
+
+
+@pytest.mark.parametrize("d, heights", [(2, range(2, 7)), (4, range(2, 5))],
+                         ids=["ambient_d2", "ambient_d4"])
+def test_scan_oracle_matches_subset_sum_on_benchmarked_classes(d, heights):
+    # every class of perfbench's ambient configs: the l = 1 catalog bundle over
+    # F3, spaces up to dim 11.  Engines are compared, no value is frozen.
+    b = b_catalog_l1(F3)
+    for e in heights:
+        for D in picard.classes_of_type(b, d, e):
+            model = linsys._count_model(b, D)
+            pool = linsys._component_pool(b, model.cls, model)
+            scan = oracles.scan_fiberfree(F3, pool, model.dim)
+            tri = linsys._tri_count(F3, pool, model.dim)
+            assert scan == tri == linsys.fiberfree_count(b, D), (e, D)
 
 
 def test_budget_refusal_is_not_truncation():
@@ -164,8 +196,9 @@ def test_prime_d2_on_split_bundle_has_no_composites():
 
 
 def test_prime_d4_division_path_regression():
-    # engine-frozen values; every sub-class count the prime-count recursion
-    # reads is cross-checked by a second engine
+    # engine-frozen subset-sum values; no second engine rechecks them at run
+    # time.  test_scan_oracle_matches_subset_sum_on_benchmarked_classes compares
+    # the engines on this F3 bundle's d = 4 classes up to height 4
     b1 = b_mixed()
     assert linsys.prime_count(b1, 4, 2) == 225
     assert linsys.prime_count(b1, 4, 3) == 4656
@@ -276,11 +309,21 @@ def test_scan_dimension_threshold_frozen():
 
 
 def test_extension_field_fiberfree_counts_frozen():
-    # frozen subset-sum values; the literal scan must reproduce each of them
+    # frozen subset-sum values, each recounted member by member with field
+    # operations over the same pool: no engine rechecks them at run time
     def census(F, e, max_dim):
         b = b_catalog_l1(F)
-        return Counter(linsys.fiberfree_count(b, D) for D in picard.classes_of_type(b, 2, e)
-                       if section_space(b, D).dim <= max_dim)
+        counts = Counter()
+        for D in picard.classes_of_type(b, 2, e):
+            model = linsys._count_model(b, D)
+            if model.dim > max_dim:
+                continue
+            n = linsys.fiberfree_count(b, D)
+            pool = linsys._component_pool(b, model.cls, model)
+            assert n == sum(_pool_fiber_free(F, pool, coords)
+                            for coords, _ in _member_flats(F, model)), D
+            counts[n] += 1
+        return counts
 
     assert census(F9, 2, 4) == {57: 4, 64: 4, 690: 6}
     assert census(F25, 1, 3) == {23: 12, 645: 1}
@@ -346,6 +389,5 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
                 if by_gcd:
                     free.add(tuple(flat))
             assert linsys.fiberfree_count(bnd, D) == len(free), D
-            assert linsys._literal_scan(F, pool, model.basis) == len(free), D
             checked += 1
     assert checked >= 4
