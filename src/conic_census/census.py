@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import curve, linsys, picard
 from .bundle import FiberClass
 from .errors import BOutOfRange
@@ -318,6 +316,8 @@ class NumberFieldInputs:
 
 def number_field_k(inputs, d):
     """Twist-sum correction with prime norms in place of q^deg."""
+    import mpmath  # imported here: no CLI task needs it, so the package loads without it
+
     dprime = d // 2
     one = mpmath.mpf(1)
     base = one
@@ -338,6 +338,8 @@ def number_field_k(inputs, d):
 
 def number_field_leading(inputs, d):
     """High-precision leading coefficient for the number-field analogue."""
+    import mpmath
+
     if d <= 0 or d % 2:
         raise ValueError("d must be even and positive")
     for name in ("disc_norm", "class_number", "regulator", "roots_of_unity",

@@ -4,9 +4,12 @@ Every base field F_q, prime or not, is a `Field` whose elements are the ints
 range(q), coded by their coefficient digits over F_p, with arithmetic by table
 lookup.  The residue fields of closed points of degree n >= 2 are `ExtField`s
 over their base Field, with elements tuples of n base elements, low degree
-first.  Polynomials over any field are trimmed tuples of elements, constant
-term first; () is the zero polynomial.  Field objects carry the arithmetic
-and are hashable, so they can key caches and sit inside frozen dataclasses.
+first.  Every field carries the row kernel of elimination, `sub_scaled`
+(v - c*w on whole vectors) and `scaled` (c*w); a Field runs both by lookups
+in one table row per scalar c.  Polynomials over any field are trimmed tuples
+of elements, constant term first; () is the zero polynomial.  Field objects
+carry the arithmetic and are hashable, so they can key caches and sit inside
+frozen dataclasses.
 """
 
 import itertools
@@ -17,7 +20,15 @@ MAX_BASE_ORDER = 27
 
 
 class _Ops:
-    """Division and powers, from a field's mul and inv."""
+    """Division, powers and the row kernel, from a field's sub, mul and inv."""
+
+    def sub_scaled(self, v, c, w):
+        """The vector v - c*w."""
+        return [self.sub(x, self.mul(c, y)) for x, y in zip(v, w)]
+
+    def scaled(self, c, w):
+        """The vector c*w."""
+        return [self.mul(c, y) for y in w]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -74,6 +85,14 @@ class Field(_Ops):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
+
+    def sub_scaled(self, v, c, w):
+        sub, mc = self._sub, self._mul[c]
+        return [sub[x][mc[y]] for x, y in zip(v, w)]
+
+    def scaled(self, c, w):
+        mc = self._mul[c]
+        return [mc[y] for y in w]
 
     def from_int(self, k):
         return k % self.char * self.one

@@ -38,39 +38,33 @@ DEFAULT_BUDGET = 10 ** 8
 
 
 def _reduce_vec(F, ech, piv, v):
-    v = list(v)
     for row, pc in zip(ech, piv):
         c = v[pc]
         if c != F.zero:
-            v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+            v = F.sub_scaled(v, c, row)
     return v
 
 
-def _insert_row(F, ech, piv, row, npivot=None):
-    """Add a row to a reduced echelon basis in place; False when it reduces to zero.
-
-    Pivots are confined to the first npivot columns (all columns when None).
-    """
+def _append_row(F, ech, piv, row):
+    """Append a row, reduced and scaled to 1 at its pivot, to a semi-echelon
+    basis in place; False when it reduces to zero.  Earlier rows are untouched."""
     row = _reduce_vec(F, ech, piv, row)
-    lead = next((i for i, c in enumerate(row[:npivot]) if c != F.zero), None)
+    lead = next((i for i, c in enumerate(row) if c != F.zero), None)
     if lead is None:
         return False
-    inv = F.inv(row[lead])
-    row = [F.mul(inv, c) for c in row]
-    for r, pc in zip(ech, piv):
-        c = r[lead]
-        if c != F.zero:
-            r[:] = [F.sub(x, F.mul(c, y)) for x, y in zip(r, row)]
-    ech.append(row)
+    ech.append(F.scaled(F.inv(row[lead]), row))
     piv.append(lead)
     return True
 
 
-def _rref(F, rows, npivot=None):
+def _rref(F, rows):
     """Reduced row echelon form; returns (rows, pivots) with zero rows dropped."""
     ech, piv = [], []
     for row in rows:
-        _insert_row(F, ech, piv, row, npivot)
+        if _append_row(F, ech, piv, row):
+            for i, r in enumerate(ech[:-1]):  # clear the new pivot from earlier rows
+                if r[piv[-1]] != F.zero:
+                    ech[i] = F.sub_scaled(r, r[piv[-1]], ech[-1])
     order = sorted(range(len(piv)), key=lambda i: piv[i])
     return [ech[i] for i in order], [piv[i] for i in order]
 
@@ -540,7 +534,12 @@ def _component_pool(b, D, model):
 
 def _tri_count(F, pool, n):
     """Fiber-free member count of an n-dimensional model by signed sums over
-    subsets of its component pool."""
+    subsets of its component pool; a subset S adds (-1)^|S| (q^(n - rank S) - 1).
+
+    Only the rank is read, so a node keeps a semi-echelon basis: each row is 1
+    at its pivot and 0 at earlier rows' pivots, so reducing in insertion order
+    is exact, and rows never change, so a child copies only the list.  A spanning
+    subset and all its supersets add 0."""
     if n == 0 or not all(pool):
         return 0  # every member contains the component of an empty block
     q = F.order
@@ -550,15 +549,13 @@ def _tri_count(F, pool, n):
         nonlocal total
         total += sign * (q ** (n - len(ech)) - 1)
         for jj in range(start, len(pool)):
-            ech2 = [list(r) for r in ech]
-            piv2 = list(piv)
-            grew = False
+            ech2, piv2 = list(ech), list(piv)
             for row in pool[jj]:
-                if _insert_row(F, ech2, piv2, row):
-                    grew = True
-            if len(ech2) == n and grew:
-                continue
-            rec(jj + 1, ech2, piv2, -sign)
+                _append_row(F, ech2, piv2, row)
+                if len(ech2) == n:
+                    break
+            else:
+                rec(jj + 1, ech2, piv2, -sign)
 
     rec(0, [], [], 1)
     if total % (q - 1):

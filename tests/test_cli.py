@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -324,3 +327,12 @@ def test_main_zeta_report_frozen(tmp_path, capsys, s, digest):
     assert run_main(tmp_path, document) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only the number-field analogue uses mpmath, and no CLI task reaches it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, conic_census.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "False\n"

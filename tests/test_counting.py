@@ -1,6 +1,7 @@
 """Fiber-free and irreducible multisection counts against frozen oracles."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ F27 = gf.make_field(3, 3)
 
 # Mobius-derived closed forms, computed by hand before the engines existed
 FIBERFREE_D2 = {0: 13, 2: 312, 4: 8424, 6: 227448, 8: 6141096}
-FIBERFREE_D1 = {0: 4, 2: 24, 4: 216, 6: 1944, 8: 17496}
+FIBERFREE_D1 = {0: 4, 2: 24, 4: 216, 6: 1944, 8: 17496, 10: 157464}
 COMPOSITES_D2 = {4: 1164, 6: 12960, 8: 140076}
 PRIME_D2 = {4: 7260, 6: 214488, 8: 6001020}
 
@@ -357,6 +358,39 @@ def _gcd_fiber_free(b, D, model, flat):
 
 def _pool_fiber_free(F, pool, coords):
     return not any(all(linsys._dot(F, r, coords) == F.zero for r in blk) for blk in pool)
+
+
+def _brute_pool_count(F, pool, n):
+    """Members of F^n up to scalars (leading coordinate 1) on which no block vanishes."""
+    return sum(_pool_fiber_free(F, pool, coords)
+               for coords in itertools.product(list(F.elements()), repeat=n)
+               if next((x for x in coords if x != F.zero), None) == F.one)
+
+
+@pytest.mark.parametrize("F", [F3, F9], ids=["F3", "F9"])
+def test_tri_count_hand_built_pools(F):
+    n = 4
+    unit = lambda i: [F.one if j == i else F.zero for j in range(n)]
+    c = F.from_index(F.order - 1)  # a nonzero scalar other than one
+    e0, e1, e2, e3 = (unit(i) for i in range(n))
+    e01 = F.sub_scaled(e0, F.neg(c), e1)  # e0 + c*e1, inside the span of e0, e1
+    pools = {
+        "inside an earlier span": [[e0, e1], [e01], [e2, e01]],
+        "repeated rows": [[e2, e2, F.scaled(c, e2)], [e01, e0, e01], [e3]],
+        "fills at once": [[e1], [e3, e2, e01, e1], [e0, e2]],
+        "fills after a repeat": [[e01], [e3, e3, e2, e0, e1], [e1, e2]],
+        "no blocks": [],
+        "an empty block": [[e0], []],
+    }
+    rng = random.Random(9)
+    elems = list(F.elements())
+    for k in range(12):
+        pools[f"random {k}"] = [[[rng.choice(elems) for _ in range(n)]
+                                 for _ in range(rng.randint(1, 3))] for _ in range(5)]
+    for name, pool in pools.items():
+        want = _brute_pool_count(F, pool, n)
+        assert linsys._tri_count(F, pool, n) == want, name
+    assert _brute_pool_count(F, pools["no blocks"], n) == (F.order ** n - 1) // (F.order - 1)
 
 
 @pytest.mark.parametrize("F, l, a, b, c, e_max", [

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conic_census import gf
+from conic_census import curve, gf
 from conic_census.errors import CharTwoUnsupported, FieldTooLarge, NotPrime, ZeroElement, ZeroPolynomial
 
 
@@ -252,6 +252,33 @@ def test_prime_tables_match_residues(p):
             assert F.add(a, b) == (a + b) % p
             assert F.sub(a, b) == (a - b) % p
             assert F.mul(a, b) == a * b % p
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=["F3", "F5", "F7", "F9", "F25", "F27"])
+def test_row_kernel_matches_elementwise_ops(p, n):
+    # every (x, y) pair as one vector entry, for every scalar c
+    F = gf.make_field(p, n)
+    pairs = list(itertools.product(F.elements(), repeat=2))
+    v, w = [x for x, _ in pairs], [y for _, y in pairs]
+    for c in F.elements():
+        assert F.sub_scaled(v, c, w) == [F.sub(x, F.mul(c, y)) for x, y in pairs]
+        assert F.scaled(c, w) == [F.mul(c, y) for y in w]
+
+
+def test_row_kernel_on_residue_field():
+    # kappa(P) of the degree-2 point t^2 + 1 over F3 runs the generic kernel;
+    # F9 has the same modulus, so its table kernel is the oracle
+    F3, F9 = gf.make_field(3), gf.make_field(3, 2)
+    K = curve.residue_field(F3, curve.point_from_poly(F3, (1, 0, 1)))
+    assert type(K) is gf.ExtField and K.modulus == F9.modulus
+    vec = lambda a: tuple(F9.to_digits(a))
+    pairs = list(itertools.product(F9.elements(), repeat=2))
+    v, w = [x for x, _ in pairs], [y for _, y in pairs]
+    for c in F9.elements():
+        want = [vec(z) for z in F9.sub_scaled(v, c, w)]
+        assert K.sub_scaled([vec(x) for x in v], vec(c), [vec(y) for y in w]) == want
+        assert K.scaled(vec(c), [vec(y) for y in w]) == [vec(z) for z in F9.scaled(c, w)]
 
 
 def test_from_digits_messages():
