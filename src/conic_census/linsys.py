@@ -1,22 +1,22 @@
 """Section spaces on a conic bundle, component valuations, and exact counts.
 
-A class D with integer dprime >= 0 is modelled inside the ambient space of
-forms of degree dprime in (x, y, z) whose coefficients are binary forms of
-degree A = a + sum of b_P deg P over the stored components, taken modulo
-multiples of the defining conic; each stored component imposes vanishing
-conditions on the opposite line over its split point.  Coefficient vectors
-are laid out monomial-major (graded lex, x > y > z) with ascending t-degree
-inside each binary form, and every basis is kept in reduced row echelon
-form, so coset representatives are canonical.  Bundles with l = 0 also
-carry a ruled model: the conic factor is a smooth plane conic, so O(D)
-matches the bidegree (d, e/2) forms on a product of two projective lines,
-laid out like an ambient model with monomials (d - i, i), coefficient degree
-e/2 and an identity basis.  That model covers the half-integer dprime classes
-of odd fiber degree, and every l = 0 count runs on it.
+Every class has one model.  On l >= 1 a class D with integer dprime >= 0 is
+modelled inside the ambient space of forms of degree dprime in (x, y, z)
+whose coefficients are binary forms of degree A = a + sum of b_P deg P over
+the stored components, taken modulo multiples of the defining conic; each
+stored component imposes vanishing conditions on the opposite line over its
+split point.  Coefficient vectors are laid out monomial-major (graded lex,
+x > y > z) with ascending t-degree inside each binary form, and every basis
+is kept in reduced row echelon form, so coset representatives are canonical.
+On l = 0 the conic factor is a smooth plane conic, so O(D) matches the
+bidegree (d, e/2) forms on a product of two projective lines: the ruled
+model, laid out like an ambient one with monomials (d - i, i), coefficient
+degree e/2 and an identity basis.  It covers integer and half-integer dprime.
 
-Both models share one counting engine: the subset sum over the component
-pool counts fiber-free members, and a class whose space has more than the
-budget's q^dim vectors is refused before it is counted.
+One counting engine serves both layouts: the subset sum over the component
+pool, whose blocks are the containment rows of each component, counts
+fiber-free members, and a class whose space has more than the budget's
+q^dim vectors is refused before it is counted.
 Fiber-free divisors form the free commutative monoid on the horizontal prime
 divisors, so the irreducible counts follow from the fiber-free counts of the
 sub-classes by a recursion on the fiber degree; no member is built.
@@ -137,12 +137,14 @@ class _Model:
                  "basis", "dim")
 
 
-def _ruled_model(b, D, delta, beta):
-    """Ruled model of a class on l = 0: bidegree (delta, beta) forms, identity basis.
+def _ruled_model(b, D):
+    """Ruled model of a class of type (d, e) on l = 0: bidegree (d, e/2) forms, identity basis.
 
     There are no conic multiples to reduce by, so zech and zpiv are empty.
     """
     F = b.field
+    delta, e = picard.type_of(b, D)
+    beta = e // 2
     m = _Model()
     m.kind = "param"
     m.cls = D
@@ -156,27 +158,26 @@ def _ruled_model(b, D, delta, beta):
     return m
 
 
-def _ambient_A(D):
-    return D.a + sum(c * P.degree for P, _, c in D.parts)
-
-
 @lru_cache(maxsize=None)
 def _model(b, D):
-    """Build the cached space model for a class; the argument is normalized first."""
+    """Build the cached model of a class, normalized first: ruled on l = 0, else ambient."""
     D = picard.normalize(b, D)
-    F = b.field
-    if isinstance(D.dprime, Fraction):
-        if b.l != 0:
-            raise OddDegreeUnsupported(
-                "half-integer fiber degree needs the ruled model, available only for l = 0")
-        return _ruled_model(b, D, int(2 * D.dprime), D.a)
+    if b.l != 0 and isinstance(D.dprime, Fraction):
+        raise OddDegreeUnsupported(
+            "half-integer fiber degree needs the ruled model, available only for l = 0")
     if D.dprime < 0:
         raise EmptySpace(f"no sections for fiber half-degree {D.dprime} < 0")
+    return _ruled_model(b, D) if b.l == 0 else _ambient_model(b, D)
+
+
+def _ambient_model(b, D):
+    """Ambient model of a normalized class with integer dprime >= 0."""
+    F = b.field
     m = _Model()
     m.cls = D
     m.kind = "ambient"
     m.dp = D.dprime
-    m.A = _ambient_A(D)
+    m.A = D.a + sum(c * P.degree for P, _, c in D.parts)
     m.monos = monomial_basis(m.dp)
     m.N = len(m.monos) * (m.A + 1) if m.A >= 0 else 0
     if m.N == 0:
@@ -326,6 +327,9 @@ def _flat_of_section(b, model, s):
     midx = {mm: i for i, mm in enumerate(model.monos)}
     flat = [F.zero] * model.N
     for mm, form in s.ambient_coeffs.items():
+        if mm not in midx or form.degree != model.A:
+            raise ValueError(f"a coefficient at {mm} of degree {form.degree} is outside "
+                             f"the layout of monomials {model.monos} in degree {model.A}")
         base = midx[mm] * width
         for k, c in enumerate(form.coeffs):
             flat[base + k] = c
@@ -440,9 +444,8 @@ def _containment_rows(b, D, model, P, side):
                 rows.extend(_line_ann_rows(b, model.dp, model.A, P, ls,
                                            _forced_level(D, P, ls) + 1))
             return rows
-        return list(_full_ann_rows(b, model.dp, model.A, P, 1))
-    return list(_line_ann_rows(b, model.dp, model.A, P, side,
-                               _forced_level(D, P, side) + 1))
+        return _full_ann_rows(b, model.dp, model.A, P, 1)
+    return _line_ann_rows(b, model.dp, model.A, P, side, _forced_level(D, P, side) + 1)
 
 
 def _rows_on_coords(F, rows, basis):
@@ -471,8 +474,7 @@ def _param_full_rows(b, model, P):
                 for t in range(width):
                     row[i * width + t] = red[t][sig]
                 rows.append(row)
-    ech, _ = _rref(F, rows)
-    return [tuple(r) for r in ech]
+    return rows
 
 
 def proportion_exact(b, D, S):
@@ -510,26 +512,15 @@ def _component_pool(b, D, model):
     member of |D| could contain."""
     F = b.field
     _, e = picard.type_of(b, D)
-    points = curve.closed_points_up_to(F, max(e // 2, 0))
-    if model.kind == "param":
-        return [_param_full_rows(b, model, P) for P in points]
-    pool = []
-    for P in sorted(b.split_points, key=lambda P: curve.point_sort_key(F, P)):
-        for ls in ("E", "Ep"):
-            rows = _line_ann_rows(b, model.dp, model.A, P, ls,
-                                  _forced_level(D, P, ls) + 1)
-            pool.append(_rows_on_coords(F, rows, model.basis))
-    for sf in b.singular:
-        if sf.fiber_class is not FiberClass.SPLIT_PAIR:
-            rows = _full_ann_rows(b, model.dp, model.A, sf.point, 1)
-            pool.append(_rows_on_coords(F, rows, model.basis))
     catalog = {sf.point for sf in b.singular}
-    for P in points:
-        if P in catalog:
-            continue
-        rows = _full_ann_rows(b, model.dp, model.A, P, 1)
-        pool.append(_rows_on_coords(F, rows, model.basis))
-    return pool
+    split = sorted(b.split_points, key=lambda P: curve.point_sort_key(F, P))
+    components = [(P, ls) for P in split for ls in ("E", "Ep")]
+    components += [(sf.point, "full") for sf in b.singular
+                   if sf.fiber_class is not FiberClass.SPLIT_PAIR]
+    components += [(P, "full") for P in curve.closed_points_up_to(F, max(e // 2, 0))
+                   if P not in catalog]
+    return [_rows_on_coords(F, _containment_rows(b, D, model, P, side), model.basis)
+            for P, side in components]
 
 
 def _tri_count(F, pool, n):
@@ -578,18 +569,10 @@ def _check_budget(q, dim, budget):
             f"{q}^{dim} = {steps} scan steps exceed the budget {budget}")
 
 
-def _count_model(b, D):
-    """The model that counts a normalized class: on l = 0 always the ruled one."""
-    if b.l == 0:
-        d, e = picard.type_of(b, D)
-        return _ruled_model(b, D, d, e // 2)
-    return _model(b, D)
-
-
 @lru_cache(maxsize=None)
 def _fiberfree(b, D):
     """Fiber-free count of a normalized class: the subset sum over its pool."""
-    model = _count_model(b, D)
+    model = _model(b, D)
     return _tri_count(b.field, _component_pool(b, D, model), model.dim)
 
 
@@ -598,16 +581,11 @@ def fiberfree_count(b, D, budget=None):
     the subset sum (`_fiberfree`) once the q^dim budget admits the class."""
     budget = DEFAULT_BUDGET if budget is None else budget
     Dn = picard.normalize(b, D)
-    d, e = picard.type_of(b, Dn)
-    if b.l == 0:
-        if e % 2 or d < 0 or e < 0:
-            return 0
-    elif isinstance(Dn.dprime, Fraction):
-        raise OddDegreeUnsupported(
-            "half-integer fiber degree needs the ruled model, available only for l = 0")
-    elif Dn.dprime < 0:
-        return 0
-    _check_budget(b.field.order, _count_model(b, Dn).dim, budget)
+    try:
+        dim = _model(b, Dn).dim
+    except EmptySpace:
+        return 0  # dprime < 0: no sections, so no members
+    _check_budget(b.field.order, dim, budget)
     return _fiberfree(b, Dn)
 
 

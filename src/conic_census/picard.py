@@ -136,14 +136,8 @@ def euler_char(b, cv, D):
     """Euler characteristic of O(D); integral for every genuine class."""
     _check_points(b, D)
     d, e = type_of(b, D)
-    dp, _, bs = D.canonical()
+    _, _, bs = D.canonical()
     bsq = sum(c * c * P.degree for P, c in bs)
-    if isinstance(dp, Fraction):
-        # l = 0 half-classes: use the parameterized chi (delta+1)(beta+1) rewritten
-        twice = (d + 1) * (e + 2 - 2 * cv.genus) - bsq
-        if twice % 2 != 0:
-            raise ParityViolation(f"chi = {twice}/2 is not an integer")
-        return twice // 2
     return euler_char_formula(d, e, cv.genus, b.l, bsq)
 
 

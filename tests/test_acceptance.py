@@ -206,8 +206,8 @@ def test_05_direct_scan_matches_inclusion_exclusion():
 
                 add_terms(0, [], 0)
                 assert total % (q - 1) == 0
-                # the direct scan: every member of the model that counts the class
-                model = linsys._count_model(b, D)
+                # the direct scan: every member of the class's model
+                model = linsys._model(b, D)
                 pool = linsys._component_pool(b, model.cls, model)
                 scan = oracles.scan_fiberfree(b.field, pool, model.dim)
                 assert scan == linsys.fiberfree_count(b, D) == total // (q - 1), (b.l, e, D)

@@ -103,6 +103,13 @@ def test_fiberfree_edges():
     assert picard.classes_of_type(b0, 2, 3) == []
     b1 = b_mixed()
     assert linsys.fiberfree_count(b1, NumClass.make(0, 1)) == 0
+    # negative dprime has no members on l = 0; on l >= 1 a half-integer class
+    # is refused whatever its sign
+    assert linsys.fiberfree_count(b0, NumClass.make(Fraction(-1, 2), 0)) == 0
+    assert linsys.fiberfree_count(b0, NumClass.make(-1, 0)) == 0
+    for dp in (Fraction(1, 2), Fraction(-1, 2)):
+        with pytest.raises(OddDegreeUnsupported):
+            linsys.fiberfree_count(b1, NumClass.make(dp, 0))
 
 
 def test_fiberfree_split_conditions_frozen():
@@ -116,14 +123,29 @@ def test_fiberfree_split_conditions_frozen():
 def test_three_engines_agree_on_trivial_bundle():
     # ruled count == scan oracle on the ambient model == subset sum there
     b0 = b_trivial()
-    for e in (0, 2, 4):
-        D = the_class(b0, 2, e)
+    for e in (0, 2, 4, 6):
+        D = picard.normalize(b0, the_class(b0, 2, e))
         want = linsys.fiberfree_count(b0, D)
-        model = linsys._model(b0, D)
+        model = linsys._ambient_model(b0, D)
+        assert model.kind == "ambient"
         pool = linsys._component_pool(b0, D, model)
         scan = oracles.scan_fiberfree(b0.field, pool, model.dim)
         tri = linsys._tri_count(b0.field, pool, model.dim)
         assert scan == tri == want
+
+
+@pytest.mark.parametrize("F", [F3, F5, F9], ids=["F3", "F5", "F9"])
+def test_ambient_and_ruled_models_agree_in_dim_on_l0(F):
+    # the ambient model stays buildable on l = 0 as the ruled model's oracle;
+    # odd d gives half-integer dprime, which has only the ruled model
+    b0 = mk(F, 0, (F.one,), (F.one,), (F.neg(F.one),))
+    checked = 0
+    for d, e in itertools.product((0, 2, 4), range(-6, 9)):
+        for D in picard.classes_of_type(b0, d, e):
+            D = picard.normalize(b0, D)
+            assert linsys._ambient_model(b0, D).dim == linsys._model(b0, D).dim, (d, e)
+            checked += 1
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("d, heights", [(2, range(2, 7)), (4, range(2, 5))],
@@ -134,7 +156,7 @@ def test_scan_oracle_matches_subset_sum_on_benchmarked_classes(d, heights):
     b = b_catalog_l1(F3)
     for e in heights:
         for D in picard.classes_of_type(b, d, e):
-            model = linsys._count_model(b, D)
+            model = linsys._model(b, D)
             pool = linsys._component_pool(b, model.cls, model)
             scan = oracles.scan_fiberfree(F3, pool, model.dim)
             tri = linsys._tri_count(F3, pool, model.dim)
@@ -221,7 +243,7 @@ def _member_flats(F, model):
 def _ruled_members(b, D):
     """Fiber-free members of a ruled class by the gcd reference, as dicts
     {(i, t): c} for the coefficient of x0^(delta - i) x1^i t^t."""
-    model = linsys._count_model(b, D)
+    model = linsys._model(b, D)
     width = model.A + 1
     return [{divmod(k, width): c for k, c in enumerate(flat) if c != b.field.zero}
             for _, flat in _member_flats(b.field, model)
@@ -316,7 +338,7 @@ def test_extension_field_fiberfree_counts_frozen():
         b = b_catalog_l1(F)
         counts = Counter()
         for D in picard.classes_of_type(b, 2, e):
-            model = linsys._count_model(b, D)
+            model = linsys._model(b, D)
             if model.dim > max_dim:
                 continue
             n = linsys.fiberfree_count(b, D)
@@ -410,7 +432,7 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
     checked = 0
     for d, e in itertools.product((0, 1, 2), range(-1, e_max + 1)):
         for D in picard.classes_of_type(bnd, d, e):
-            model = linsys._count_model(bnd, D)
+            model = linsys._model(bnd, D)
             n = model.dim
             if n == 0 or F.order ** n > 3 ** 8:
                 continue

@@ -46,8 +46,9 @@ def test_section_space_dims_trivial_bundle():
     assert section_space(b, class_at(1, 2)).dim == 9
     assert section_space(b, class_at(0, 1)).dim == 2
     assert section_space(b, class_at(1, -5)).dim == 0
-    with pytest.raises(EmptySpace):
-        section_space(b, class_at(-1, 0))
+    for dp in (-1, Fraction(-1, 2)):
+        with pytest.raises(EmptySpace):
+            section_space(b, class_at(dp, 0))
 
 
 def test_section_space_dims_split_conditions():
@@ -63,9 +64,11 @@ def test_section_space_dims_split_conditions():
 
 
 def test_section_space_dim_matches_euler_char_on_window():
-    for b in (b_trivial(), b_mixed(), b_double()):
+    # odd d on the trivial bundle gives half-integer dprime
+    b0 = b_trivial()
+    for b, d in ((b0, 1), (b0, 2), (b0, 3), (b_mixed(), 2), (b_double(), 2)):
         for e in range(2, 5):
-            for D in picard.classes_of_type(b, 2, e):
+            for D in picard.classes_of_type(b, d, e):
                 assert section_space(b, D).dim == picard.euler_char(b, curve.P1_CURVE, D)
 
 
@@ -141,6 +144,20 @@ def test_component_multiplicity_rejects_zero_and_nonsplit_sides():
     with pytest.raises(NotASplitFiber):
         linsys.component_multiplicity(
             b1, Section(class_at(1, 0), {(0, 0, 1): BinaryForm(0, (1,))}), P_T, "E")
+
+
+def test_component_multiplicity_rejects_sections_outside_the_layout():
+    # l = 0 bases are bidegree (d - i, i) forms, l >= 1 bases forms in (x, y, z);
+    # every coefficient form has the model's degree A, here 1
+    b0, b1 = b_trivial(), b_mixed()
+    D = class_at(1, 1)
+    assert {len(m) for s in section_space(b0, D).basis for m in s.ambient_coeffs} == {2}
+    pt = BinaryForm(1, (0, 1))
+    outside = [(b0, {(0, 0, 1): pt}), (b0, {(1, 1): BinaryForm(2, (0, 0, 1))}),
+               (b1, {(1, 0): pt}), (b1, {(0, 0, 1): BinaryForm(0, (1,))})]
+    for b, coeffs in outside:
+        with pytest.raises(ValueError):
+            linsys.component_multiplicity(b, Section(D, coeffs), P_T, "full")
 
 
 def test_component_set_validation_and_height():
