@@ -13,10 +13,14 @@ bidegree (d, e/2) forms on a product of two projective lines: the ruled
 model, laid out like an ambient one with monomials (d - i, i), coefficient
 degree e/2 and an identity basis.  It covers integer and half-integer dprime.
 
-One counting engine serves both layouts: the subset sum over the component
-pool, whose blocks are the containment rows of each component, counts
-fiber-free members, and a class whose space has more than the budget's
-q^dim vectors is refused before it is counted.
+Fiber-free members are counted from section-space dims alone: a sieve over
+the vertical prime divisors, E_P and E'_P over each split point and F_P over
+every other point, reads the dims of D minus vertical classes and builds no
+member and no containment row.  On l >= 1 with dprime >= 2 the subset sum over
+the component pool, whose blocks are the containment rows of each component,
+counts instead, because the model dims and those rows disagree on some of
+these classes (ROADMAP item 2).  A class whose space has more than the
+budget's q^dim vectors is refused before it is counted.
 Fiber-free divisors form the free commutative monoid on the horizontal prime
 divisors, so the irreducible counts follow from the fiber-free counts of the
 sub-classes by a recursion on the fiber degree; no member is built.
@@ -513,8 +517,7 @@ def _component_pool(b, D, model):
     F = b.field
     _, e = picard.type_of(b, D)
     catalog = {sf.point for sf in b.singular}
-    split = sorted(b.split_points, key=lambda P: curve.point_sort_key(F, P))
-    components = [(P, ls) for P in split for ls in ("E", "Ep")]
+    components = [(P, ls) for P in _split_order(b) for ls in ("E", "Ep")]
     components += [(sf.point, "full") for sf in b.singular
                    if sf.fiber_class is not FiberClass.SPLIT_PAIR]
     components += [(P, "full") for P in curve.closed_points_up_to(F, max(e // 2, 0))
@@ -570,15 +573,107 @@ def _check_budget(q, dim, budget):
 
 
 @lru_cache(maxsize=None)
+def _dims(b):
+    """Memo of section-space dims on one bundle, keyed by canonical coordinates
+    (dprime, a, coefficient per split point in `_split_order`)."""
+    return {}
+
+
+def _split_order(b):
+    return sorted(b.split_points, key=lambda P: curve.point_sort_key(b.field, P))
+
+
+def _vertical_series(q, degrees, n):
+    """Coefficients of T^0..T^n in (1 - T)(1 - qT) / prod over split points of
+    (1 - T^deg P): the fibers over the points that do not split, since
+    (1 - T)(1 - qT) is 1/Z of the projective line."""
+    c = [1, -(q + 1), q][:n + 1] + [0] * max(n - 2, 0)
+    for deg in degrees:
+        for m in range(deg, n + 1):
+            c[m] += c[m - deg]
+    return c
+
+
+def _sieve(b, D):
+    """Fiber-free count of a class from section-space dims alone.
+
+    The vertical prime divisors are E_P and E'_P over the split points and F_P
+    over every other point, so the fiber-free members of |D| are
+    sum over sigma, m of sign(sigma) c_m M(D - shift(sigma) - mF), where sigma
+    picks none (+), E_P (-), E'_P (-) or F_P (+) at each split point, c_m are
+    the `_vertical_series` coefficients and M(X) = (q^h(X) - 1)/(q - 1).  The
+    split points are walked one at a time; none and F_P keep the coordinates
+    and fold into the series as 1 + T^deg P, and a branch whose class has dim 0
+    is dropped, since subtracting an effective class never raises a dim.
+    """
+    q, l = b.field.order, b.l
+    split = _split_order(b)
+    dp, a, parts = D.canonical()
+    cs = tuple(dict(parts).get(P, 0) for P in split)
+    memo = _dims(b)
+
+    def h(a, cs):
+        key = (dp, a, cs)
+        dim = memo.get(key)
+        if dim is None:
+            if dp * l + 2 * a + sum(c * P.degree for c, P in zip(cs, split)) < 0:
+                dim = 0  # H is nef, so a class with D.H < 0 has no sections
+            else:
+                try:
+                    dim = _model(b, picard.class_from_canonical(
+                        dp, a, dict(zip(split, cs)))).dim
+                except EmptySpace:
+                    dim = 0
+            memo[key] = dim
+        return dim
+
+    total = 0
+
+    def walk(i, a, cs, series):
+        nonlocal total
+        if i == len(split):
+            for m, c in enumerate(series):
+                if c:
+                    dim = h(a - m, cs)
+                    if not dim:
+                        break
+                    total += c * (q ** dim - 1)
+            return
+        deg = split[i].degree
+        walk(i + 1, a, cs, [c + series[m - deg] if m >= deg else c
+                            for m, c in enumerate(series)])
+        minus = [-c for c in series]
+        for da, dc in ((0, -1), (-deg, 1)):  # E_P, then E'_P = deg P F - E_P
+            cs2 = cs[:i] + (cs[i] + dc,) + cs[i + 1:]
+            if h(a + da, cs2):
+                walk(i + 1, a + da, cs2, minus)
+
+    if h(a, cs):
+        _, e = picard.type_of(b, D)
+        walk(0, a, cs, _vertical_series(q, [P.degree for P in split], e // 2))
+    if total % (q - 1):
+        raise AssertionError("sieve sum is not divisible by the scalar count")
+    return total // (q - 1)
+
+
+@lru_cache(maxsize=None)
 def _fiberfree(b, D):
-    """Fiber-free count of a normalized class: the subset sum over its pool."""
-    model = _model(b, D)
-    return _tri_count(b.field, _component_pool(b, D, model), model.dim)
+    """Fiber-free count of a normalized class: the sieve over dims (`_sieve`),
+    or on l >= 1 with dprime >= 2 the subset sum over the component pool.
+
+    The pool stays there because its containment rows and the model dims
+    disagree on some of those classes (ROADMAP item 2), and reports freeze the
+    pool's values."""
+    if b.l and D.dprime >= 2:
+        model = _model(b, D)
+        return _tri_count(b.field, _component_pool(b, D, model), model.dim)
+    return _sieve(b, D)
 
 
 def fiberfree_count(b, D, budget=None):
     """Members of |D| whose divisor contains no fiber component, counted by
-    the subset sum (`_fiberfree`) once the q^dim budget admits the class."""
+    `_fiberfree` (the sieve over dims; the subset sum over the component pool
+    on l >= 1 with dprime >= 2) once the q^dim budget admits the class."""
     budget = DEFAULT_BUDGET if budget is None else budget
     Dn = picard.normalize(b, D)
     try:
@@ -688,8 +783,7 @@ def scan_dimension_threshold(b, cv, d, e_lo=None, e_hi=None):
     fail_at = None
     for e in range(e_hi, e_lo - 1, -1):
         for D in picard.classes_of_type(b, d, e):
-            dim = section_space(b, D).dim
-            if dim != picard.euler_char(b, cv, D):
+            if _model(b, D).dim != picard.euler_char(b, cv, D):
                 fail_at = e
                 break
         if fail_at is not None:

@@ -79,7 +79,7 @@ def test_fiberfree_closed_form_identity():
     for d, table in ((1, FIBERFREE_D1), (2, FIBERFREE_D2)):
         for e, want in table.items():
             assert want == p1_fiberfree(3, d, e)
-    # every l = 0 count runs the subset sum on the ruled model, and nothing
+    # every l = 0 count runs the sieve over the ruled model's dims, and nothing
     # checks it against the closed form at run time; this test does.  The
     # budget is only a q^dim size rule, so it is lifted for the larger spaces.
     # The F9 bundle is perfbench's extfield_f9 bundle (c = 2 = -1).
@@ -118,6 +118,66 @@ def test_fiberfree_split_conditions_frozen():
     assert linsys.fiberfree_count(b1, D) == 24
     counts = [linsys.fiberfree_count(b1, c) for c in picard.classes_of_type(b1, 2, 2)]
     assert sorted(counts) == [24, 24]
+
+
+def _l0(F):
+    return mk(F, 0, (F.one,), (F.one,), (F.neg(F.one),))
+
+
+# (bundle, fiber degrees, heights) for every class the sieve counts: dprime <= 1
+# on l >= 1, and every dprime on l = 0, half-integers included (d = 1, 3).
+# The F3 l = 2 bundle has a degree-2 split point.  F5 and F9 on l = 0 stop at
+# e = 4, where the pool has the points of degree <= 2: at e = 6 the subset sum
+# over the degree-3 points takes 1 s on F5 and over 10 s on F9.
+SIEVE_CASES = [
+    (b_mixed, (0, 2), range(7)),
+    (b_allsplit, (0, 2), range(7)),
+    (lambda: mk(F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2)), (0, 2), range(7)),
+    (lambda: mk(F5, 1, (1, 1), (2, 0), (0, 1)), (0, 2), range(7)),
+    (lambda: _l0(F3), (0, 1, 2, 3), range(7)),
+    (lambda: _l0(F5), (0, 1, 2, 3), range(5)),
+    (lambda: _l0(F9), (0, 1, 2, 3), range(5)),
+]
+
+
+def test_sieve_matches_subset_sum_wherever_it_runs():
+    # the sieve reads only dims; the subset sum over the containment-row pool
+    # is its oracle here, class by class
+    checked = 0
+    for make, degrees, heights in SIEVE_CASES:
+        b = make()
+        for d, e in itertools.product(degrees, heights):
+            for D in picard.classes_of_type(b, d, e):
+                model = linsys._model(b, D)
+                pool = linsys._component_pool(b, D, model)
+                want = linsys._tri_count(b.field, pool, model.dim)
+                assert linsys._fiberfree(b, D) == want, (b.field.order, b.l, d, e, D)
+                checked += 1
+    assert checked >= 200
+
+
+def test_sieve_counts_large_ruled_classes_quickly():
+    # dim 16 and 509 pool blocks: the subset sum ran past 100 s on this class,
+    # the sieve reads three dims
+    b0 = b_trivial()
+    assert linsys.fiberfree_count(b0, the_class(b0, 1, 14)) == p1_fiberfree(3, 1, 14)
+
+
+def test_sieve_reads_dims_only(monkeypatch):
+    # neither the component pool nor the closed points of the base are built
+    # for a class the sieve counts; the memos are cleared so nothing is reused
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class the sieve counts reached the component pool")
+
+    monkeypatch.setattr(linsys, "_component_pool", refuse)
+    monkeypatch.setattr(curve, "closed_points_up_to", refuse)
+    for memo in (linsys._fiberfree, linsys._prime, linsys._dims):
+        memo.cache_clear()
+    assert linsys.prime_count(b_trivial(), 2, 8) == PRIME_D2[8]
+    b1 = b_mixed()
+    classes = picard.classes_of_type(b1, 2, 4)
+    assert len(classes) == 2
+    assert [linsys.fiberfree_count(b1, D) for D in classes] == [648, 648]
 
 
 def test_three_engines_agree_on_trivial_bundle():
