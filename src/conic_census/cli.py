@@ -316,8 +316,8 @@ def _task_compare(cfg):
 
 
 def _task_zeta(cfg):
-    # truncation values are exact rationals with hundreds of thousands of
-    # digits by depth 12; reports carry tagged decimals of them instead
+    # truncation values are exact rationals with millions of bits by depth 12;
+    # reports carry their floor decimals, certified by integer enclosures
     F, cv, prm = cfg.field, cfg.curve, cfg.params
     s, prec = prm["s"], prm["precision"]
     gap_prec = max(prec, 50)
@@ -328,10 +328,11 @@ def _task_zeta(cfg):
         for depth in range(1, ZETA_TRUNC_DEPTH + 1):
             last = curve.zeta_truncated(F, s, depth)
             results["truncations"].append(
-                {"B": depth, "decimal": census.decimal_of_fraction(last, prec),
+                {"B": depth, "decimal": census.decimal_of_fraction(last.floor_decimal(prec), prec),
                  "precision": prec})
+        gap = last.floor_decimal(gap_prec, closed)
         results["final_gap"] = {
-            "decimal": census.decimal_of_fraction(abs(closed - last), gap_prec),
+            "decimal": census.decimal_of_fraction(gap, gap_prec),
             "precision": gap_prec}
     return results, 0
 

@@ -5,7 +5,13 @@ sys.path for the test files beside it.
 """
 
 import itertools
+import math
+import numbers
+from fractions import Fraction
 from operator import eq, mul
+
+from conic_census import curve
+from conic_census.errors import OutsideConvergenceRegion
 
 
 def _values(blocks, x, start, p):
@@ -46,3 +52,33 @@ def scan_fiberfree(F, pool, n):
             if not any(map(eq, values, minus)):
                 count += 1
     return count
+
+
+class _LowestTerms:
+    """A numerator/denominator pair already in lowest terms, denominator > 0."""
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+
+# Fraction(x) copies the pair of a single Rational argument as it is, gcd-free
+numbers.Rational.register(_LowestTerms)
+
+
+def zeta_truncated_exact(F, s, B):
+    """Partial Euler product of the P1 zeta over closed points of degree <= B, exactly.
+
+    With N_m = point_count(q, m), each factor (1 - q^(-sm))^(-N_m) is
+    (q^(sm) / (q^(sm) - 1))^(N_m), so the product is num / den with
+    num = q^(s * sum m N_m) and den = prod (q^(sm) - 1)^(N_m).  These are
+    coprime by construction: num is a power of p, and q^(sm) - 1 = -1 mod p,
+    so p divides no factor of den.  The Fraction is built from the pair as it
+    is, with no gcd on integers of millions of bits.
+    """
+    if s <= 1:
+        raise OutsideConvergenceRegion(f"s = {s} is outside the convergence region s > 1")
+    q = F.order
+    counts = [(m, curve.point_count(q, m)) for m in range(1, B + 1)]
+    num = q ** (s * sum(m * n for m, n in counts))
+    den = math.prod((q ** (s * m) - 1) ** n for m, n in counts)
+    assert den % F.char, f"zeta truncation denominator is divisible by p = {F.char}"
+    return Fraction(_LowestTerms(num, den))

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from conic_census import cli
+import oracles
+from conic_census import census, cli, gf
 from conic_census.errors import (ConfigError, NonReducedFiber,
                                  OddDegreeUnsupported, SingularTotalSpace)
 
@@ -327,6 +328,40 @@ def test_main_zeta_report_frozen(tmp_path, capsys, s, digest):
     assert run_main(tmp_path, document) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _zeta_report(tmp_path, capsys, field, s, **params):
+    document = {"field": field, "bundle": {"l": 0, "a": [1], "b": [1], "c": [-1]},
+                "task": "zeta", "params": dict(params, s=s)}
+    assert run_main(tmp_path, document) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_main_zeta_report_large_s(tmp_path, capsys):
+    # the exact depth-12 product at s = 20 has about 25 Mbit; the report needs
+    # only its floor digits
+    F3 = gf.make_field(3)
+    res = _zeta_report(tmp_path, capsys, {"p": 3}, 20)
+    for t in res["truncations"][:8]:
+        exact = oracles.zeta_truncated_exact(F3, 20, t["B"])
+        assert t["decimal"] == census.decimal_of_fraction(exact, 12)
+    assert res["final_gap"]["decimal"] == "0." + "0" * 50
+
+
+@pytest.mark.parametrize("q, n", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)],
+                         ids=["F5", "F7", "F9", "F25", "F27"])
+def test_main_zeta_reports_on_larger_fields(tmp_path, capsys, q, n):
+    # 30 digits: at the default 12, F27's truncations from depth 9 on agree in
+    # every printed digit
+    F = gf.make_field(q, n)
+    res = _zeta_report(tmp_path, capsys, {"q": F.order}, 2, precision=30)
+    values = [Fraction(t["decimal"]) for t in res["truncations"]]
+    assert len(values) == 12
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[-1] < Fraction(res["closed_form"])
+    for t in res["truncations"][:3]:
+        exact = oracles.zeta_truncated_exact(F, 2, t["B"])
+        assert t["decimal"] == census.decimal_of_fraction(exact, 30)
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
-from conic_census import curve, gf
+import oracles
+from conic_census import census, curve, gf
 from conic_census.errors import OutsideConvergenceRegion
 
 
@@ -59,8 +60,11 @@ def test_zeta_denominator_divisibility():
 
 def test_zeta_truncated_values():
     F3 = gf.make_field(3)
-    assert curve.zeta_truncated(F3, 3, 1) == Fraction(27, 26) ** 4
-    assert curve.zeta_truncated(F3, 2, 1) == Fraction(9, 8) ** 4
+    assert oracles.zeta_truncated_exact(F3, 3, 1) == Fraction(27, 26) ** 4
+    assert oracles.zeta_truncated_exact(F3, 2, 1) == Fraction(9, 8) ** 4
+    # 6561/4096 needs 12 bits, so the 64-bit enclosure is exact
+    enc = curve.zeta_truncated(F3, 2, 1)
+    assert enc.lo == enc.hi == 6561 << (enc.bits - 12)
 
 
 def _stepwise_product(q, s, B):
@@ -71,16 +75,26 @@ def _stepwise_product(q, s, B):
     return out
 
 
+def _encloses(enc, x):
+    return Fraction(enc.lo, 2 ** enc.bits) <= x <= Fraction(enc.hi, 2 ** enc.bits)
+
+
 @pytest.mark.parametrize("p, n, top", [(3, 1, 8), (5, 1, 5), (3, 2, 4), (5, 2, 2), (3, 3, 2)])
 def test_zeta_truncated_matches_fraction_product(p, n, top):
     F = gf.make_field(p, n)
     for s in (2, 3, 5):
         for B in range(top + 1):
-            got = curve.zeta_truncated(F, s, B)
+            got = oracles.zeta_truncated_exact(F, s, B)
             assert got == _stepwise_product(F.order, s, B)
             assert type(got) is Fraction
             assert got.denominator > 0
             assert math.gcd(got.numerator, got.denominator) == 1
+            enc = curve.zeta_truncated(F, s, B)
+            assert _encloses(enc, got)
+            # narrow widths round nearly every step, so a bound rounded the
+            # wrong way shows
+            for bits in (3, 8, 20):
+                assert _encloses(curve._enclose(F.order, s, enc.counts, bits), got)
 
 
 def test_zeta_truncated_makes_no_gcd_calls(monkeypatch):
@@ -92,11 +106,11 @@ def test_zeta_truncated_makes_no_gcd_calls(monkeypatch):
         return gcd(*args)
 
     monkeypatch.setattr(math, "gcd", counting)
-    curve.zeta_truncated(gf.make_field(3), 2, 10)
+    oracles.zeta_truncated_exact(gf.make_field(3), 2, 10)
     assert len(calls) == 0
     # the coprimality check is live: a denominator divisible by p is refused
     with pytest.raises(AssertionError, match="divisible by p = 2"):
-        curve.zeta_truncated(SimpleNamespace(order=3, char=2), 2, 1)
+        oracles.zeta_truncated_exact(SimpleNamespace(order=3, char=2), 2, 1)
 
 
 def test_zeta_truncated_monotone_and_bounded():
@@ -106,12 +120,57 @@ def test_zeta_truncated_monotone_and_bounded():
         z = curve.zeta_value(curve.P1_CURVE, F3, s)
         prev = Fraction(0)
         for B in range(1, 9):
-            tb = curve.zeta_truncated(F3, s, B)
+            tb = oracles.zeta_truncated_exact(F3, s, B)
             assert tb >= prev
             assert tb <= z
             gap = mpmath.mpf(z.numerator) / z.denominator - mpmath.mpf(tb.numerator) / tb.denominator
             assert gap < 4 * mpmath.mpf(3) ** (-(B + 1) * (s - 1))
             prev = tb
+
+
+FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 25: (5, 2), 27: (3, 3)}
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_zeta_floor_decimals_match_exact_oracle(q):
+    F = gf.make_field(*FIELDS[q])
+    for s in (2, 3, 5):
+        closed = curve.zeta_value(curve.P1_CURVE, F, s)
+        for B in range(4):
+            exact = oracles.zeta_truncated_exact(F, s, B)
+            enc = curve.zeta_truncated(F, s, B)
+            for digits in (1, 12, 30, 60):
+                want = census.decimal_of_fraction(exact, digits)
+                assert census.decimal_of_fraction(enc.floor_decimal(digits), digits) == want
+            # from a few bits, the first enclosures straddle a digit boundary
+            for bits in range(1, 8):
+                narrow = curve._enclose(F.order, s, enc.counts, bits)
+                assert narrow.floor_decimal(2) == Fraction(math.floor(exact * 100), 100)
+            gap = enc.floor_decimal(50, closed)
+            assert census.decimal_of_fraction(gap, 50) == (
+                census.decimal_of_fraction(closed - exact, 50))
+
+
+def test_zeta_floor_decimal_on_a_decimal_boundary():
+    # x = (9/8)^4 = 1.601806640625 has exactly 12 digits: no enclosure narrower
+    # than x itself separates the floors, so the exact branch decides
+    F3 = gf.make_field(3)
+    enc = curve.zeta_truncated(F3, 2, 1)
+    assert census.decimal_of_fraction(enc.floor_decimal(12), 12) == "1.601806640625"
+    assert enc.floor_decimal(12) == Fraction(6561, 4096)
+    # from 2 bits the enclosure is rebuilt at 4, 8 and 16 before x is built
+    narrow = curve._enclose(3, 2, enc.counts, 2)
+    assert narrow.lo < narrow.hi
+    assert narrow.floor_decimal(12) == Fraction(6561, 4096)
+    # |closed - x| when closed is x (enclosure straddles 0), lies below x
+    # (enclosure entirely negative) and above it
+    x = Fraction(6561, 4096)
+    assert narrow.floor_decimal(50, x) == 0
+    assert narrow.floor_decimal(3, Fraction(1)) == Fraction(601, 1000)
+    assert narrow.floor_decimal(3, Fraction(2)) == Fraction(398, 1000)
+    deep = curve.zeta_truncated(F3, 2, 12)
+    assert deep.floor_decimal(40, Fraction(1)) == Fraction(
+        int((oracles.zeta_truncated_exact(F3, 2, 12) - 1) * 10 ** 40), 10 ** 40)
 
 
 def test_curve_descriptor_validation():
