@@ -7,6 +7,7 @@ point P is classified by evaluating the three coefficients in kappa(P).
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from . import curve, gf
@@ -81,7 +82,16 @@ class ConicBundle:
     c: BinaryForm
     singular: tuple
 
-    @property
+    def __post_init__(self):
+        # every lru_cache in the package is keyed on the bundle, so hash its
+        # fields, the singular catalog included, once
+        object.__setattr__(self, "_hash",
+                           hash((self.field, self.l, self.a, self.b, self.c, self.singular)))
+
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
     def split_points(self):
         return tuple(f.point for f in self.singular if f.fiber_class is FiberClass.SPLIT_PAIR)
 

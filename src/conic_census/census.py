@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import curve, linsys, picard
 from .bundle import FiberClass
@@ -234,8 +235,11 @@ def k_bar_catalog(q, d, c1_degrees, c2_degrees, bbar):
     return out
 
 
+@lru_cache(maxsize=None)
 def k_const_catalog(q, d, c1_degrees, c2_degrees):
-    """Sum the twist corrections, weighted down by sqrt(q) per squared twist."""
+    """Sum the twist corrections, weighted down by sqrt(q) per squared twist.
+
+    Cached: `predict` and `leading_coeff` ask for the same K at every height."""
     total = sqrtq(q, 0)
     ranges = [range(-_b_range(d, m), _b_range(d, m) + 1) for m in c2_degrees]
     for bbar in itertools.product(*ranges):

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -179,6 +180,7 @@ def _parse_params(doc, task, b, cv):
         s = _need(block, "params", "s", int, "an integer")
         if s < 2:
             raise ConfigError("params.s", "the zeta value converges only for s >= 2")
+        _check_closed_form_digits(b.field, cv, s)
         out["s"] = s
     if out["format"] == "csv" and task != "compare":
         raise ConfigError("params.format", "csv output exists only for the compare task")
@@ -192,6 +194,35 @@ def _parse_params(doc, task, b, cv):
         raise OddDegreeUnsupported(
             "odd fiber degree requires the ruled model, available only for l = 0")
     return out
+
+
+def _max_zeta_s(q, limit):
+    """Largest s with q^(2s - 1) below 10^limit: on the projective line the
+    closed form is q^(2s - 1) / ((q^s - 1)(q^(s - 1) - 1)), in lowest terms."""
+    s = int((limit / math.log10(q) + 1) / 2)
+    cap = 10 ** limit
+    while q ** (2 * s - 1) >= cap:
+        s -= 1
+    while q ** (2 * s + 1) < cap:
+        s += 1
+    return s
+
+
+def _check_closed_form_digits(F, cv, s):
+    """Refuse an s whose closed form Python will not convert to a decimal string."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    s_max = _max_zeta_s(F.order, limit)
+    if s <= s_max:
+        # other L-polynomials move the sizes a little off the line's
+        closed = curve.zeta_value(cv, F, s)
+        if max(abs(closed.numerator), closed.denominator) < 10 ** limit:
+            return
+    raise ConfigError(
+        "params.s", f"must be at most {s_max} on F{F.order}: beyond that the closed form "
+                    f"has more than {limit} digits, the most Python converts to a string "
+                    f"(sys.get_int_max_str_digits())")
 
 
 def _resolved(F, b, cv, task, params):

@@ -13,6 +13,10 @@ bidegree (d, e/2) forms on a product of two projective lines: the ruled
 model, laid out like an ambient one with monomials (d - i, i), coefficient
 degree e/2 and an identity basis.  It covers integer and half-integer dprime.
 
+Dims are read from ranks (`_dim`): on l >= 1, N minus the ranks of the
+condition rows and of the conic multiples.  Bases are built only for
+sections, multiplicities, the component pool and proportions.
+
 Fiber-free members are counted from section-space dims alone: a sieve over
 the vertical prime divisors, E_P and E'_P over each split point and F_P over
 every other point, reads the dims of D minus vertical classes and builds no
@@ -141,6 +145,11 @@ class _Model:
                  "basis", "dim")
 
 
+def _ruled_dim(delta, e):
+    """Dim of the ruled model of a class of type (delta, e) on l = 0: (delta + 1)(e/2 + 1)."""
+    return (delta + 1) * (e // 2 + 1) if e >= 0 else 0
+
+
 def _ruled_model(b, D):
     """Ruled model of a class of type (d, e) on l = 0: bidegree (d, e/2) forms, identity basis.
 
@@ -148,30 +157,71 @@ def _ruled_model(b, D):
     """
     F = b.field
     delta, e = picard.type_of(b, D)
-    beta = e // 2
     m = _Model()
     m.kind = "param"
     m.cls = D
     m.dp = None
-    m.A = beta
+    m.A = e // 2
     m.monos = tuple((delta - i, i) for i in range(delta + 1))
-    m.N = m.dim = len(m.monos) * (beta + 1) if beta >= 0 else 0
+    m.N = m.dim = _ruled_dim(delta, e)
     m.zech, m.zpiv = (), ()
     m.basis = tuple(tuple(F.one if i == j else F.zero for j in range(m.N))
                     for i in range(m.N))
     return m
 
 
-@lru_cache(maxsize=None)
-def _model(b, D):
-    """Build the cached model of a class, normalized first: ruled on l = 0, else ambient."""
+def _checked(b, D):
+    """Normalize a class, refusing those with no model: half-integer dprime on
+    l >= 1 and dprime < 0."""
     D = picard.normalize(b, D)
     if b.l != 0 and isinstance(D.dprime, Fraction):
         raise OddDegreeUnsupported(
             "half-integer fiber degree needs the ruled model, available only for l = 0")
     if D.dprime < 0:
         raise EmptySpace(f"no sections for fiber half-degree {D.dprime} < 0")
+    return D
+
+
+def _ambient_size(D):
+    """(A, N): the coefficient degree and the ambient length of a class on l >= 1."""
+    A = D.a + sum(c * P.degree for P, _, c in D.parts)
+    return A, len(monomial_basis(D.dprime)) * (A + 1) if A >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _model(b, D):
+    """Build the cached model of a class, normalized first: ruled on l = 0, else ambient."""
+    D = _checked(b, D)
     return _ruled_model(b, D) if b.l == 0 else _ambient_model(b, D)
+
+
+@lru_cache(maxsize=None)
+def _dim(b, D):
+    """`_model(b, D).dim`, read from ranks without building a basis.
+
+    On l >= 1 it is N - rank(condition rows) - rank(conic multiples), since
+    `_line_ann_rows` checks that the conic multiples lie in every condition
+    kernel.  Raises where `_model` raises.
+    """
+    D = _checked(b, D)
+    if b.l == 0:
+        return _ruled_dim(*picard.type_of(b, D))
+    A, N = _ambient_size(D)
+    if N == 0:
+        return 0
+    F = b.field
+    ech, piv = [], []
+    for P, side, c in D.parts:
+        for row in _line_ann_rows(b, D.dprime, A, P, _other_side(side), c):
+            _append_row(F, ech, piv, row)
+    return N - len(ech) - len(_z_echelon(b, D.dprime, A)[0])
+
+
+@lru_cache(maxsize=None)
+def _z_echelon(b, dp, A):
+    """Reduced echelon basis (rows, pivots) of the conic multiples for (dp, A)."""
+    zech, zpiv = _rref(b.field, _z_source_rows(b, dp, A))
+    return tuple(tuple(r) for r in zech), tuple(zpiv)
 
 
 def _ambient_model(b, D):
@@ -181,15 +231,12 @@ def _ambient_model(b, D):
     m.cls = D
     m.kind = "ambient"
     m.dp = D.dprime
-    m.A = D.a + sum(c * P.degree for P, _, c in D.parts)
+    m.A, m.N = _ambient_size(D)
     m.monos = monomial_basis(m.dp)
-    m.N = len(m.monos) * (m.A + 1) if m.A >= 0 else 0
     if m.N == 0:
         m.zech, m.zpiv, m.basis, m.dim = (), (), (), 0
         return m
-    zech, zpiv = _rref(F, _z_source_rows(b, m.dp, m.A))
-    m.zech = tuple(tuple(r) for r in zech)
-    m.zpiv = tuple(zpiv)
+    m.zech, m.zpiv = _z_echelon(b, m.dp, m.A)
     cond = []
     for P, side, c in D.parts:
         cond.extend(_line_ann_rows(b, m.dp, m.A, P, _other_side(side), c))
@@ -198,8 +245,6 @@ def _ambient_model(b, D):
     basis, _ = _rref(F, reduced)
     m.basis = tuple(tuple(r) for r in basis)
     m.dim = len(m.basis)
-    if len(kernel) - len(m.zech) != m.dim:
-        raise AssertionError("conic multiples escaped the condition kernel")
     return m
 
 
@@ -271,6 +316,9 @@ def _line_ann_rows(b, dp, A, P, side, level):
         for sig in range(deg):
             rows.append([coords[i][sig] for i in range(N)])
     ech, _ = _rref(F, rows)
+    # `_dim` subtracts the conic multiples' rank from every condition kernel
+    if any(_dot(F, r, z) != F.zero for r in ech for z in _z_source_rows(b, dp, A)):
+        raise AssertionError("conic multiples escaped the condition kernel")
     return tuple(tuple(r) for r in ech)
 
 
@@ -620,8 +668,8 @@ def _sieve(b, D):
                 dim = 0  # H is nef, so a class with D.H < 0 has no sections
             else:
                 try:
-                    dim = _model(b, picard.class_from_canonical(
-                        dp, a, dict(zip(split, cs)))).dim
+                    dim = _dim(b, picard.class_from_canonical(
+                        dp, a, dict(zip(split, cs))))
                 except EmptySpace:
                     dim = 0
             memo[key] = dim
@@ -677,7 +725,7 @@ def fiberfree_count(b, D, budget=None):
     budget = DEFAULT_BUDGET if budget is None else budget
     Dn = picard.normalize(b, D)
     try:
-        dim = _model(b, Dn).dim
+        dim = _dim(b, Dn)
     except EmptySpace:
         return 0  # dprime < 0: no sections, so no members
     _check_budget(b.field.order, dim, budget)
@@ -783,7 +831,7 @@ def scan_dimension_threshold(b, cv, d, e_lo=None, e_hi=None):
     fail_at = None
     for e in range(e_hi, e_lo - 1, -1):
         for D in picard.classes_of_type(b, d, e):
-            if _model(b, D).dim != picard.euler_char(b, cv, D):
+            if _dim(b, D) != picard.euler_char(b, cv, D):
                 fail_at = e
                 break
         if fail_at is not None:

@@ -91,9 +91,8 @@ def class_from_canonical(dp, a_canon, cmap):
 
 
 def _check_points(b, D):
-    split = set(b.split_points)
     for P, _, _ in D.parts:
-        if P not in split:
+        if P not in b.split_points:
             raise BundleMismatch(f"class names a component over {curve.point_str(b.field, P)}, "
                                  "which is not a split point of this bundle")
 

@@ -170,3 +170,15 @@ def test_random_bundles_catalog_degree():
             for _ in range(25):
                 b = random_valid_bundle(rng, F, l)
                 assert sum(f.point.degree for f in b.singular) == 3 * l
+
+
+def test_bundle_hash_and_split_points_are_computed_once():
+    b = bundle.validate_bundle(F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2))
+    fields = (b.field, b.l, b.a, b.b, b.c, b.singular)
+    assert hash(b) == hash(fields)
+    again = bundle.validate_bundle(F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2))
+    assert again == b and hash(again) == hash(b)
+    assert len(b.split_points) == 3 and b.split_points is b.split_points
+    # the stored hash is read, not recomputed from the fields
+    object.__setattr__(b, "singular", ())
+    assert hash(b) == hash(fields)

@@ -129,6 +129,12 @@ def test_k_const_catalog_frozen():
     assert census.k_const_catalog(3, 2, (), ()) == 1
 
 
+
+def test_k_const_catalog_is_memoized():
+    # predict and leading_coeff ask for the same K at every height
+    first = census.k_const_catalog(25, 2, (), (1, 1, 2))
+    assert census.k_const_catalog(25, 2, (), (1, 1, 2)) is first
+
 def test_k_const_twist_sign_symmetry():
     for bb in ((1, 0), (1, 1), (0, -1)):
         plus = census.k_bar_catalog(3, 4, (), (1, 1), bb)

@@ -364,6 +364,29 @@ def test_main_zeta_reports_on_larger_fields(tmp_path, capsys, q, n):
         assert t["decimal"] == census.decimal_of_fraction(exact, 30)
 
 
+
+@pytest.mark.parametrize("field, s, ok", [
+    ({"p": 3}, 4500, True), ({"p": 3}, 4600, False),
+    ({"q": 27}, 1502, True), ({"q": 27}, 1503, False), ({"q": 27}, 4500, False)],
+    ids=["F3-4500", "F3-4600", "F27-1502", "F27-1503", "F27-4500"])
+def test_main_zeta_closed_form_digit_limit(tmp_path, capsys, field, s, ok):
+    # the closed form q^(2s - 1) / ((q^s - 1)(q^(s - 1) - 1)) passes Python's
+    # 4300-digit string limit after s = 4506 on F3 and s = 1502 on F27
+    document = {"field": field, "bundle": {"l": 0, "a": [1], "b": [1], "c": [2]},
+                "task": "zeta", "params": {"s": s}}
+    if ok:
+        assert run_main(tmp_path, document) == 0
+        num, den = json.loads(capsys.readouterr().out)["results"]["closed_form"].split("/")
+        assert len(num) <= sys.get_int_max_str_digits()
+        return
+    assert err_path(document, "zeta", s=s) == "params.s"
+    assert run_main(tmp_path, document) == 2
+    q = field.get("q", field.get("p"))
+    assert capsys.readouterr().err == (
+        f"config error at params.s: must be at most {4506 if q == 3 else 1502} on F{q}: "
+        f"beyond that the closed form has more than 4300 digits, the most Python "
+        f"converts to a string (sys.get_int_max_str_digits())\n")
+
 def test_cli_import_leaves_mpmath_unloaded():
     # only the number-field analogue uses mpmath, and no CLI task reaches it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

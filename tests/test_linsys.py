@@ -6,7 +6,7 @@ import pytest
 
 from conic_census import bundle, curve, gf, linsys, picard
 from conic_census.bundle import BinaryForm, FiberClass
-from conic_census.errors import EmptySpace, NotASplitFiber, ZeroSection
+from conic_census.errors import EmptySpace, NotASplitFiber, OddDegreeUnsupported, ZeroSection
 from conic_census.linsys import Section, component_set, section_space
 from conic_census.picard import CLASS_H, NumClass
 
@@ -362,3 +362,60 @@ def test_parameterized_model_multiplicities():
     sm = Section(D, {(1, 0): pt, (0, 1): pt})
     assert linsys.component_multiplicity(b0, sm, P_T, "full") == 1
     assert linsys.component_multiplicity(b0, sm, P_T1, "full") == 0
+
+
+F5 = gf.make_field(5)
+F9 = gf.make_field(3, 2)
+F25 = gf.make_field(5, 2)
+
+
+def _over(F, l, *forms):
+    return mk(F, l, *([F.from_int(c) for c in form] for form in forms))
+
+
+def b_catalog_l1(F):
+    # a = t, b = s, c = s + t
+    return _over(F, 1, (0, 1), (1, 0), (1, 1))
+
+
+def b_f25_l2():
+    # the l = 2 bundle of the benchmark's F25 predict config
+    return _over(F25, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2))
+
+
+def _dim_outcome(read, b, D):
+    try:
+        return read(b, D)
+    except (EmptySpace, OddDegreeUnsupported) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("make, degrees", [
+    (b_mixed, (2, 4)), (b_double, (2, 4)), (lambda: b_catalog_l1(F5), (2, 4)),
+    (lambda: b_catalog_l1(F9), (2,)), (b_f25_l2, (2,))],
+    ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2"])
+def test_dim_from_ranks_matches_model_dim(make, degrees):
+    b = make()
+    classes = [NumClass.make(-1, 3), NumClass.make(Fraction(1, 2), 2)]
+    for d in degrees:
+        for e in range(-8, 15):
+            for D in picard.classes_of_type(b, d, e):
+                classes.append(D)
+                # the sieve reads classes below D, some with no sections
+                classes.append(picard.class_from_canonical(D.dprime - 1, D.a, {}))
+    split = sorted(b.split_points, key=lambda P: curve.point_sort_key(b.field, P))
+    classes.append(NumClass.make(1, 0, {split[0]: -1}))  # stored unnormalized
+    for D in classes:
+        want = _dim_outcome(lambda b, D: linsys._model(b, D).dim, b, D)
+        assert _dim_outcome(linsys._dim, b, D) == want, D
+
+
+@pytest.mark.parametrize("make, d, want", [(b_f25_l2, 2, 1), (b_mixed, 4, 1)],
+                         ids=["F25-l2-d2", "F3-l1-mixed-d4"])
+def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
+    def refuse(b, D):
+        raise AssertionError("the threshold scan built a model")
+
+    monkeypatch.setattr(linsys, "_model", refuse)
+    monkeypatch.setattr(linsys, "_ambient_model", refuse)
+    assert linsys.scan_dimension_threshold(make(), curve.P1_CURVE, d) == want
