@@ -93,6 +93,7 @@ class ConicBundle:
 
     @functools.cached_property
     def split_points(self):
+        """The split points in `curve.point_sort_key` order, the singular catalog's order."""
         return tuple(f.point for f in self.singular if f.fiber_class is FiberClass.SPLIT_PAIR)
 
     def singular_fiber_at(self, P):

@@ -309,7 +309,7 @@ def _task_enumerate(cfg):
         classes = picard.classes_of_type(b, d, e)
         row = {"e": e,
                "classes": [{"class": _class_obj(b.field, D),
-                            "dim": linsys.section_space(b, D).dim} for D in classes]}
+                            "dim": linsys._dim(b, D)} for D in classes]}
         try:
             row["M_f"] = sum(linsys.fiberfree_count(b, D, budget=budget)
                              for D in classes)

@@ -13,9 +13,9 @@ bidegree (d, e/2) forms on a product of two projective lines: the ruled
 model, laid out like an ambient one with monomials (d - i, i), coefficient
 degree e/2 and an identity basis.  It covers integer and half-integer dprime.
 
-Dims are read from ranks (`_dim`): on l >= 1, N minus the ranks of the
-condition rows and of the conic multiples.  Bases are built only for
-sections, multiplicities, the component pool and proportions.
+On l >= 1 dims, component pools and proportions read ranks from one echelon
+of a class's condition rows (`_conditions`); bases are built only for
+sections and multiplicities.
 
 Fiber-free members are counted from section-space dims alone: a sieve over
 the vertical prime divisors, E_P and E'_P over each split point and F_P over
@@ -141,8 +141,7 @@ def _z_source_rows(b, dp, A):
 class _Model:
     """Frozen computational model of one normalized class."""
 
-    __slots__ = ("kind", "cls", "dp", "A", "monos", "N", "zech", "zpiv",
-                 "basis", "dim")
+    __slots__ = ("kind", "cls", "dp", "A", "monos", "N", "basis", "dim")
 
 
 def _ruled_dim(delta, e):
@@ -151,10 +150,7 @@ def _ruled_dim(delta, e):
 
 
 def _ruled_model(b, D):
-    """Ruled model of a class of type (d, e) on l = 0: bidegree (d, e/2) forms, identity basis.
-
-    There are no conic multiples to reduce by, so zech and zpiv are empty.
-    """
+    """Ruled model of a class of type (d, e) on l = 0: bidegree (d, e/2) forms, identity basis."""
     F = b.field
     delta, e = picard.type_of(b, D)
     m = _Model()
@@ -164,7 +160,6 @@ def _ruled_model(b, D):
     m.A = e // 2
     m.monos = tuple((delta - i, i) for i in range(delta + 1))
     m.N = m.dim = _ruled_dim(delta, e)
-    m.zech, m.zpiv = (), ()
     m.basis = tuple(tuple(F.one if i == j else F.zero for j in range(m.N))
                     for i in range(m.N))
     return m
@@ -197,53 +192,49 @@ def _model(b, D):
 
 @lru_cache(maxsize=None)
 def _dim(b, D):
-    """`_model(b, D).dim`, read from ranks without building a basis.
-
-    On l >= 1 it is N - rank(condition rows) - rank(conic multiples), since
-    `_line_ann_rows` checks that the conic multiples lie in every condition
-    kernel.  Raises where `_model` raises.
-    """
+    """`_model(b, D).dim`, read from ranks without building a basis: on l >= 1
+    the columns of `_conditions` less its rank.  Raises where `_model` raises."""
     D = _checked(b, D)
     if b.l == 0:
         return _ruled_dim(*picard.type_of(b, D))
-    A, N = _ambient_size(D)
-    if N == 0:
-        return 0
-    F = b.field
-    ech, piv = [], []
-    for P, side, c in D.parts:
-        for row in _line_ann_rows(b, D.dprime, A, P, _other_side(side), c):
-            _append_row(F, ech, piv, row)
-    return N - len(ech) - len(_z_echelon(b, D.dprime, A)[0])
+    cols, ech, _ = _conditions(b, D)
+    return len(cols) - len(ech)
 
 
 @lru_cache(maxsize=None)
-def _z_echelon(b, dp, A):
-    """Reduced echelon basis (rows, pivots) of the conic multiples for (dp, A)."""
-    zech, zpiv = _rref(b.field, _z_source_rows(b, dp, A))
-    return tuple(tuple(r) for r in zech), tuple(zpiv)
+def _cols(b, dp, A):
+    """The columns off the pivots of the conic multiples for (dp, A): they
+    coordinatize forms modulo the conic multiples, and a row that kills the
+    conic multiples is fixed by its entries there."""
+    pivots = set(_rref(b.field, _z_source_rows(b, dp, A))[1])
+    return tuple(j for j in range(len(monomial_basis(dp)) * (A + 1)) if j not in pivots)
+
+
+def _conditions(b, D):
+    """(cols, ech, piv): the condition rows of a normalized class on l >= 1,
+    restricted to `_cols`, in one semi-echelon basis (`_append_row`).  H^0(D)
+    is their kernel there, so its dim is len(cols) - len(ech)."""
+    A, _ = _ambient_size(D)
+    ech, piv = [], []
+    for P, side, c in D.parts:
+        for row in _line_rows_on_cols(b, D.dprime, A, P, _other_side(side), c):
+            _append_row(b.field, ech, piv, row)
+    return _cols(b, D.dprime, A), ech, piv
 
 
 def _ambient_model(b, D):
-    """Ambient model of a normalized class with integer dprime >= 0."""
+    """Ambient model of a normalized class with integer dprime >= 0: the kernel
+    of `_conditions`, zero at the conic multiples' pivots, in rref."""
     F = b.field
     m = _Model()
-    m.cls = D
-    m.kind = "ambient"
-    m.dp = D.dprime
+    m.cls, m.kind, m.dp = D, "ambient", D.dprime
     m.A, m.N = _ambient_size(D)
     m.monos = monomial_basis(m.dp)
-    if m.N == 0:
-        m.zech, m.zpiv, m.basis, m.dim = (), (), (), 0
-        return m
-    m.zech, m.zpiv = _z_echelon(b, m.dp, m.A)
-    cond = []
-    for P, side, c in D.parts:
-        cond.extend(_line_ann_rows(b, m.dp, m.A, P, _other_side(side), c))
-    kernel = _nullspace(F, cond, m.N)
-    reduced = [_reduce_vec(F, m.zech, m.zpiv, v) for v in kernel]
-    basis, _ = _rref(F, reduced)
-    m.basis = tuple(tuple(r) for r in basis)
+    cols, ech, _ = _conditions(b, D)
+    at = {j: i for i, j in enumerate(cols)}
+    kernel = [[v[at[j]] if j in at else F.zero for j in range(m.N)]
+              for v in _nullspace(F, ech, len(cols))]
+    m.basis = tuple(tuple(r) for r in _rref(F, kernel)[0])
     m.dim = len(m.basis)
     return m
 
@@ -316,7 +307,7 @@ def _line_ann_rows(b, dp, A, P, side, level):
         for sig in range(deg):
             rows.append([coords[i][sig] for i in range(N)])
     ech, _ = _rref(F, rows)
-    # `_dim` subtracts the conic multiples' rank from every condition kernel
+    # `_conditions` and the pool read these rows on `_cols` only
     if any(_dot(F, r, z) != F.zero for r in ech for z in _z_source_rows(b, dp, A)):
         raise AssertionError("conic multiples escaped the condition kernel")
     return tuple(tuple(r) for r in ech)
@@ -349,6 +340,12 @@ def _full_ann_rows(b, dp, A, P, level):
     ann = _nullspace(F, gens, N)
     ech, _ = _rref(F, ann)
     return tuple(tuple(r) for r in ech)
+
+
+@lru_cache(maxsize=None)
+def _line_rows_on_cols(b, dp, A, P, side, level):
+    """`_line_ann_rows` restricted to `_cols`, once per cached block."""
+    return tuple([r[j] for j in _cols(b, dp, A)] for r in _line_ann_rows(b, dp, A, P, side, level))
 
 
 # --- sections ---
@@ -482,47 +479,59 @@ def _forced_level(D, P, line_side):
     return 0
 
 
-def _containment_rows(b, D, model, P, side):
+def _containment_rows(b, D, P, side):
     """Flat rows expressing that the member divisor contains the component."""
-    if model.kind == "param":
+    if b.l == 0:
         if side != "full":
             raise NotASplitFiber("a trivial bundle has no split fibers")
-        return _param_full_rows(b, model, P)
+        return _param_full_rows(b, D, P)
+    dp, (A, _) = D.dprime, _ambient_size(D)
     if side == "full":
         sf = b.singular_fiber_at(P)
         if sf is not None and sf.fiber_class is FiberClass.SPLIT_PAIR:
             rows = []
             for ls in ("E", "Ep"):
-                rows.extend(_line_ann_rows(b, model.dp, model.A, P, ls,
-                                           _forced_level(D, P, ls) + 1))
+                rows.extend(_line_ann_rows(b, dp, A, P, ls, _forced_level(D, P, ls) + 1))
             return rows
-        return _full_ann_rows(b, model.dp, model.A, P, 1)
-    return _line_ann_rows(b, model.dp, model.A, P, side, _forced_level(D, P, side) + 1)
+        return _full_ann_rows(b, dp, A, P, 1)
+    return _line_ann_rows(b, dp, A, P, side, _forced_level(D, P, side) + 1)
 
 
-def _rows_on_coords(F, rows, basis):
-    out = [[_dot(F, row, base) for base in basis] for row in rows]
-    ech, _ = _rref(F, out)
-    return [tuple(r) for r in ech]
-
-
-def _param_full_rows(b, model, P):
-    """Coefficient-divisibility rows for a full fiber on the ruled model."""
+def _on_coords(b, D, blocks):
+    """Blocks of `_containment_rows` as functionals on the dim coordinates of
+    H^0(D), each in rref.  On l >= 1 a row, fixed by its entries on `_cols`, is
+    reduced by `_conditions` and read off the condition pivots, so its rank on
+    H^0(D) is rank(conditions and rows) - rank(conditions).  The ruled layout
+    is its own coordinates."""
     F = b.field
-    width = model.A + 1
+    if b.l:
+        cols, ech, piv = _conditions(b, D)
+        keep = [j for j in range(len(cols)) if j not in piv]
+        blocks = [[[row[j] for j in keep]
+                   for row in (_reduce_vec(F, ech, piv, [r[c] for c in cols]) for r in blk)]
+                  for blk in blocks]
+    return [[tuple(r) for r in _rref(F, blk)[0]] for blk in blocks]
+
+
+def _param_full_rows(b, D, P):
+    """Coefficient-divisibility rows for a full fiber on the ruled layout of D."""
+    F = b.field
+    delta, e = picard.type_of(b, D)
+    A, N = e // 2, _ruled_dim(delta, e)
+    width = A + 1
     rows = []
     if P.is_infinity:
-        for i in range(len(model.monos)):
-            row = [F.zero] * model.N
-            row[i * width + model.A] = F.one
+        for i in range(delta + 1):
+            row = [F.zero] * N
+            row[i * width + A] = F.one
             rows.append(row)
     else:
         K = curve.residue_field(F, P)
         red = [_kappa_coords(K, F, curve.residue_of_poly(F, P, ((F.zero,) * t) + (F.one,)))
                for t in range(width)]
-        for i in range(len(model.monos)):
+        for i in range(delta + 1):
             for sig in range(P.degree):
-                row = [F.zero] * model.N
+                row = [F.zero] * N
                 for t in range(width):
                     row[i * width + t] = red[t][sig]
                 rows.append(row)
@@ -531,14 +540,9 @@ def _param_full_rows(b, model, P):
 
 def proportion_exact(b, D, S):
     """Share of sections whose member divisor contains every component of S."""
-    Dn = picard.normalize(b, D)
-    F = b.field
-    model = _model(b, Dn)
-    flat_rows = []
-    for P, side in S.elements:
-        flat_rows.extend(_containment_rows(b, Dn, model, P, side))
-    coord = _rows_on_coords(F, flat_rows, model.basis)
-    return Fraction(1, F.order ** len(coord))
+    Dn = _checked(b, D)
+    rows = [row for P, side in S.elements for row in _containment_rows(b, Dn, P, side)]
+    return Fraction(1, b.field.order ** len(_on_coords(b, Dn, [rows])[0]))
 
 
 def proportion_product(b, D, S):
@@ -559,19 +563,18 @@ def proportion_product(b, D, S):
 # --- inclusion-exclusion over component subsets ---
 
 
-def _component_pool(b, D, model):
-    """Containment row blocks, in basis coordinates, for every component a
-    member of |D| could contain."""
+def _component_pool(b, D):
+    """Containment row blocks, on the dim coordinates of `_on_coords`, for every
+    component a member of |D| could contain."""
     F = b.field
     _, e = picard.type_of(b, D)
     catalog = {sf.point for sf in b.singular}
-    components = [(P, ls) for P in _split_order(b) for ls in ("E", "Ep")]
+    components = [(P, ls) for P in b.split_points for ls in ("E", "Ep")]
     components += [(sf.point, "full") for sf in b.singular
                    if sf.fiber_class is not FiberClass.SPLIT_PAIR]
     components += [(P, "full") for P in curve.closed_points_up_to(F, max(e // 2, 0))
                    if P not in catalog]
-    return [_rows_on_coords(F, _containment_rows(b, D, model, P, side), model.basis)
-            for P, side in components]
+    return _on_coords(b, D, [_containment_rows(b, D, P, side) for P, side in components])
 
 
 def _tri_count(F, pool, n):
@@ -623,12 +626,8 @@ def _check_budget(q, dim, budget):
 @lru_cache(maxsize=None)
 def _dims(b):
     """Memo of section-space dims on one bundle, keyed by canonical coordinates
-    (dprime, a, coefficient per split point in `_split_order`)."""
+    (dprime, a, coefficient per split point in `split_points` order)."""
     return {}
-
-
-def _split_order(b):
-    return sorted(b.split_points, key=lambda P: curve.point_sort_key(b.field, P))
 
 
 def _vertical_series(q, degrees, n):
@@ -655,7 +654,7 @@ def _sieve(b, D):
     is dropped, since subtracting an effective class never raises a dim.
     """
     q, l = b.field.order, b.l
-    split = _split_order(b)
+    split = b.split_points
     dp, a, parts = D.canonical()
     cs = tuple(dict(parts).get(P, 0) for P in split)
     memo = _dims(b)
@@ -713,8 +712,7 @@ def _fiberfree(b, D):
     disagree on some of those classes (ROADMAP item 2), and reports freeze the
     pool's values."""
     if b.l and D.dprime >= 2:
-        model = _model(b, D)
-        return _tri_count(b.field, _component_pool(b, D, model), model.dim)
+        return _tri_count(b.field, _component_pool(b, D), _dim(b, D))
     return _sieve(b, D)
 
 

@@ -190,7 +190,7 @@ def classes_of_type(b, d, e):
         dp = Fraction(d, 2)
     else:
         return []
-    split = sorted(b.split_points, key=lambda P: curve.point_sort_key(b.field, P))
+    split = b.split_points
     ranges = [range(-int(dp // P.degree), int(dp // P.degree) + 1) for P in split]
     out = []
     for combo in itertools.product(*ranges):
@@ -215,7 +215,7 @@ def _class_sort_key(D):
 def decompositions(b, D):
     """Unordered pairs of nonzero effective-candidate classes summing to D (verticals included)."""
     d, e = type_of(b, D)
-    split = sorted(b.split_points, key=lambda P: curve.point_sort_key(b.field, P))
+    split = b.split_points
     _, _, bs = D.canonical()
     bmap = dict(bs)
     target_b = [bmap.get(P, 0) for P in split]

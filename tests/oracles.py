@@ -10,7 +10,7 @@ import numbers
 from fractions import Fraction
 from operator import eq, mul
 
-from conic_census import curve
+from conic_census import curve, linsys
 from conic_census.errors import OutsideConvergenceRegion
 
 
@@ -28,7 +28,7 @@ def scan_fiberfree(F, pool, n):
 
     The members are the coordinate vectors over F_p, as ints mod p, with
     leading coordinate 1 (one per scalar class).  A member is fiber-free when
-    no block of the component pool (rows in basis coordinates) has all its
+    no block of the component pool (rows on the n coordinates) has all its
     rows vanish on it.  Each member is split into a head (the first n // 2
     coordinates) and a tail; a row's value on it is its value on the head plus
     its value on the tail, so the tail values are tabulated once and a block
@@ -52,6 +52,26 @@ def scan_fiberfree(F, pool, n):
             if not any(map(eq, values, minus)):
                 count += 1
     return count
+
+
+def ambient_basis(b, D):
+    """Basis of the ambient model of a normalized class, built the long way: the
+    joint kernel of all its condition rows in the full ambient space, each
+    kernel vector reduced by the rref of the conic multiples, then rref."""
+    F = b.field
+    A, N = linsys._ambient_size(D)
+    zech, zpiv = linsys._rref(F, linsys._z_source_rows(b, D.dprime, A))
+    cond = [row for P, side, c in D.parts
+            for row in linsys._line_ann_rows(b, D.dprime, A, P, linsys._other_side(side), c)]
+    kernel = linsys._nullspace(F, cond, N)
+    basis, _ = linsys._rref(F, [linsys._reduce_vec(F, zech, zpiv, v) for v in kernel])
+    return tuple(tuple(r) for r in basis)
+
+
+def rows_on_basis(F, rows, basis):
+    """Rows as functionals on the span of a basis, in its coordinates, in rref."""
+    ech, _ = linsys._rref(F, [[linsys._dot(F, row, v) for v in basis] for row in rows])
+    return [tuple(r) for r in ech]
 
 
 class _LowestTerms:

@@ -206,10 +206,9 @@ def test_05_direct_scan_matches_inclusion_exclusion():
 
                 add_terms(0, [], 0)
                 assert total % (q - 1) == 0
-                # the direct scan: every member of the class's model
-                model = linsys._model(b, D)
-                pool = linsys._component_pool(b, model.cls, model)
-                scan = oracles.scan_fiberfree(b.field, pool, model.dim)
+                # the direct scan: every member of the class
+                pool = linsys._component_pool(b, D)
+                scan = oracles.scan_fiberfree(b.field, pool, dim)
                 assert scan == linsys.fiberfree_count(b, D) == total // (q - 1), (b.l, e, D)
                 checked += 1
     assert checked > 12

@@ -182,3 +182,17 @@ def test_bundle_hash_and_split_points_are_computed_once():
     # the stored hash is read, not recomputed from the fields
     object.__setattr__(b, "singular", ())
     assert hash(b) == hash(fields)
+
+
+def test_split_points_in_point_order():
+    # the singular catalog is sorted by point, so split points come in report order
+    rng = random.Random(29)
+    checked = 0
+    for F in (F3, gf.make_field(5), gf.make_field(3, 2)):
+        for l in (0, 1, 2, 3):
+            for _ in range(12):
+                b = random_valid_bundle(rng, F, l)
+                keys = [curve.point_sort_key(F, P) for P in b.split_points]
+                assert keys == sorted(keys), (F.order, l, b.split_points)
+                checked += len(keys) > 1
+    assert checked >= 10

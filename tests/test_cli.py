@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conic_census import census, cli, gf
+from conic_census import census, cli, gf, linsys
 from conic_census.errors import (ConfigError, NonReducedFiber,
                                  OddDegreeUnsupported, SingularTotalSpace)
 
@@ -394,3 +394,20 @@ def test_cli_import_leaves_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("base, params", [
+    (MIXED, {"d": 2, "e_list": [2, 4]}), (TRIVIAL, {"d": 3, "e_list": [2, 4]})],
+    ids=["F3-l1-d2", "F3-l0-d3"])
+def test_enumerate_builds_no_section_space(tmp_path, capsys, monkeypatch, base, params):
+    # the printed dims are read from ranks; the report bytes do not change
+    document = doc(base, "enumerate", **params)
+    assert run_main(tmp_path, document) == 0
+    want = capsys.readouterr().out
+
+    def refuse(b, D):
+        raise AssertionError("enumerate built a section space")
+
+    monkeypatch.setattr(linsys, "section_space", refuse)
+    assert run_main(tmp_path, document) == 0
+    assert capsys.readouterr().out == want

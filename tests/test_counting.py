@@ -148,9 +148,8 @@ def test_sieve_matches_subset_sum_wherever_it_runs():
         b = make()
         for d, e in itertools.product(degrees, heights):
             for D in picard.classes_of_type(b, d, e):
-                model = linsys._model(b, D)
-                pool = linsys._component_pool(b, D, model)
-                want = linsys._tri_count(b.field, pool, model.dim)
+                pool = linsys._component_pool(b, D)
+                want = linsys._tri_count(b.field, pool, linsys._dim(b, D))
                 assert linsys._fiberfree(b, D) == want, (b.field.order, b.l, d, e, D)
                 checked += 1
     assert checked >= 200
@@ -181,17 +180,23 @@ def test_sieve_reads_dims_only(monkeypatch):
 
 
 def test_three_engines_agree_on_trivial_bundle():
-    # ruled count == scan oracle on the ambient model == subset sum there
+    # ruled count == scan oracle == subset sum, on the ruled component pool and
+    # on the ambient model, whose pool is every full fiber of height <= e
+    # (the bundle has no singular fibers) mapped onto the model's basis
     b0 = b_trivial()
     for e in (0, 2, 4, 6):
         D = picard.normalize(b0, the_class(b0, 2, e))
         want = linsys.fiberfree_count(b0, D)
         model = linsys._ambient_model(b0, D)
         assert model.kind == "ambient"
-        pool = linsys._component_pool(b0, D, model)
-        scan = oracles.scan_fiberfree(b0.field, pool, model.dim)
-        tri = linsys._tri_count(b0.field, pool, model.dim)
-        assert scan == tri == want
+        ambient_pool = [oracles.rows_on_basis(
+            F3, linsys._full_ann_rows(b0, model.dp, model.A, P, 1), model.basis)
+            for P in curve.closed_points_up_to(F3, e // 2)]
+        for pool, n in ((ambient_pool, model.dim),
+                        (linsys._component_pool(b0, D), linsys._dim(b0, D))):
+            scan = oracles.scan_fiberfree(b0.field, pool, n)
+            tri = linsys._tri_count(b0.field, pool, n)
+            assert scan == tri == want
 
 
 @pytest.mark.parametrize("F", [F3, F5, F9], ids=["F3", "F5", "F9"])
@@ -216,10 +221,10 @@ def test_scan_oracle_matches_subset_sum_on_benchmarked_classes(d, heights):
     b = b_catalog_l1(F3)
     for e in heights:
         for D in picard.classes_of_type(b, d, e):
-            model = linsys._model(b, D)
-            pool = linsys._component_pool(b, model.cls, model)
-            scan = oracles.scan_fiberfree(F3, pool, model.dim)
-            tri = linsys._tri_count(F3, pool, model.dim)
+            pool = linsys._component_pool(b, D)
+            dim = linsys._dim(b, D)
+            scan = oracles.scan_fiberfree(F3, pool, dim)
+            tri = linsys._tri_count(F3, pool, dim)
             assert scan == tri == linsys.fiberfree_count(b, D), (e, D)
 
 
@@ -402,9 +407,10 @@ def test_extension_field_fiberfree_counts_frozen():
             if model.dim > max_dim:
                 continue
             n = linsys.fiberfree_count(b, D)
-            pool = linsys._component_pool(b, model.cls, model)
-            assert n == sum(_pool_fiber_free(F, pool, coords)
-                            for coords, _ in _member_flats(F, model)), D
+            pool = linsys._component_pool(b, model.cls)
+            at = _pool_columns(b, model.cls, model)
+            assert n == sum(_pool_fiber_free(F, pool, [flat[c] for c in at])
+                            for _, flat in _member_flats(F, model)), D
             counts[n] += 1
         return counts
 
@@ -436,6 +442,15 @@ def _gcd_fiber_free(b, D, model, flat):
             if all(linsys._dot(F, r, flat) == F.zero for r in rows):
                 return False
     return True
+
+
+def _pool_columns(b, D, model):
+    """The flat columns that are a member's coordinates for the component pool
+    of its class: on l >= 1 `_cols` less the condition pivots, on l = 0 all."""
+    if b.l == 0:
+        return range(model.N)
+    cols, _, piv = linsys._conditions(b, D)
+    return [c for j, c in enumerate(cols) if j not in piv]
 
 
 def _pool_fiber_free(F, pool, coords):
@@ -497,11 +512,12 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
             if n == 0 or F.order ** n > 3 ** 8:
                 continue
             D = model.cls
-            pool = linsys._component_pool(bnd, D, model)
+            pool = linsys._component_pool(bnd, D)
+            at = _pool_columns(bnd, D, model)
             free = set()
             for coords, flat in _member_flats(F, model):
                 by_gcd = _gcd_fiber_free(bnd, D, model, flat)
-                assert by_gcd == _pool_fiber_free(F, pool, coords), (D, coords)
+                assert by_gcd == _pool_fiber_free(F, pool, [flat[c] for c in at]), (D, coords)
                 if by_gcd:
                     free.add(tuple(flat))
             assert linsys.fiberfree_count(bnd, D) == len(free), D

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conic_census import bundle, curve, gf, linsys, picard
 from conic_census.bundle import BinaryForm, FiberClass
 from conic_census.errors import EmptySpace, NotASplitFiber, OddDegreeUnsupported, ZeroSection
@@ -419,3 +420,40 @@ def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
     monkeypatch.setattr(linsys, "_model", refuse)
     monkeypatch.setattr(linsys, "_ambient_model", refuse)
     assert linsys.scan_dimension_threshold(make(), curve.P1_CURVE, d) == want
+
+
+@pytest.mark.parametrize("make", [b_mixed, b_double, lambda: b_catalog_l1(F5), b_trivial],
+                         ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F3-l0-trivial"])
+def test_ambient_basis_matches_full_kernel_oracle(make):
+    # the kernel of the condition echelon on the columns off the conic
+    # multiples' pivots, padded with zeros, spans the full ambient kernel
+    # reduced modulo the conic multiples: the rref bases are equal
+    b = make()
+    checked = 0
+    for d in (0, 2, 4):
+        for e in range(-4, 9):
+            for D in picard.classes_of_type(b, d, e):
+                D = picard.normalize(b, D)
+                assert linsys._ambient_model(b, D).basis == oracles.ambient_basis(b, D), D
+                checked += 1
+    assert checked >= 20
+
+
+def test_counting_path_builds_no_model(monkeypatch):
+    # fiber-free and prime counts, the component pool and proportions read
+    # ranks from `_conditions`; the memos are cleared so nothing is reused
+    def refuse(b, D):
+        raise AssertionError("the counting path built a model")
+
+    for name in ("_model", "_ambient_model", "_ruled_model"):
+        monkeypatch.setattr(linsys, name, refuse)
+    for memo in (linsys._dim, linsys._fiberfree, linsys._prime, linsys._dims):
+        memo.cache_clear()
+    b1 = b_mixed()
+    assert linsys.prime_count(b1, 4, 2) == 225
+    assert linsys.fiberfree_count(b1, NumClass.make(2, 0)) == 339
+    S = component_set(b1, [(P_T2, "full")])
+    assert linsys.proportion_exact(b1, class_at(1, 3), S) == Fraction(1, 27)
+    P = curve.point_from_poly(F3, (1, 0, 1))
+    S = component_set(b_double(), [(P, "E")])
+    assert linsys.proportion_exact(b_double(), class_at(1, 1, {P_T2: 1}), S) == Fraction(1, 81)
