@@ -13,6 +13,11 @@ bidegree (d, e/2) forms on a product of two projective lines: the ruled
 model, laid out like an ambient one with monomials (d - i, i), coefficient
 degree e/2 and an identity basis.  It covers integer and half-integer dprime.
 
+Vanishing to order k along a fiber component, a line over a split point or a
+whole fiber, has one builder on both layouts (`_ann_rows`): the rows that
+annihilate the k-th power of the component's ideal plus, on l >= 1, the conic
+multiples.  Condition rows, containment rows and multiplicities all read it.
+
 On l >= 1 dims, component pools and proportions read ranks from one echelon
 of a class's condition rows (`_conditions`); bases are built only for
 sections and multiplicities.
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import curve, gf, picard
+from . import curve, picard
 from .bundle import BinaryForm, FiberClass, bf_mul, fiber_lines, point_form
 from .errors import (EmptySpace, EnumerationBudgetExceeded, NotASplitFiber,
                      OddDegreeUnsupported, ZeroSection)
@@ -141,7 +146,21 @@ def _z_source_rows(b, dp, A):
 class _Model:
     """Frozen computational model of one normalized class."""
 
-    __slots__ = ("kind", "cls", "dp", "A", "monos", "N", "basis", "dim")
+    __slots__ = ("cls", "dp", "A", "monos", "N", "basis", "dim")
+
+
+def _monos(b, dp):
+    """The monomials of a class's layout: (2dp - i, i) on the ruled l = 0
+    layout, where dp may be a half-integer, else `monomial_basis(dp)`."""
+    if b.l:
+        return monomial_basis(dp)
+    return tuple((int(2 * dp) - i, i) for i in range(int(2 * dp) + 1))
+
+
+def _coeff_degree(D):
+    """A = a + sum of b_P deg P over the stored components: the degree of a
+    class's coefficient forms."""
+    return D.a + sum(c * P.degree for P, _, c in D.parts)
 
 
 def _ruled_dim(delta, e):
@@ -154,11 +173,8 @@ def _ruled_model(b, D):
     F = b.field
     delta, e = picard.type_of(b, D)
     m = _Model()
-    m.kind = "param"
-    m.cls = D
-    m.dp = None
-    m.A = e // 2
-    m.monos = tuple((delta - i, i) for i in range(delta + 1))
+    m.cls, m.dp, m.A = D, D.dprime, e // 2
+    m.monos = _monos(b, D.dprime)
     m.N = m.dim = _ruled_dim(delta, e)
     m.basis = tuple(tuple(F.one if i == j else F.zero for j in range(m.N))
                     for i in range(m.N))
@@ -175,12 +191,6 @@ def _checked(b, D):
     if D.dprime < 0:
         raise EmptySpace(f"no sections for fiber half-degree {D.dprime} < 0")
     return D
-
-
-def _ambient_size(D):
-    """(A, N): the coefficient degree and the ambient length of a class on l >= 1."""
-    A = D.a + sum(c * P.degree for P, _, c in D.parts)
-    return A, len(monomial_basis(D.dprime)) * (A + 1) if A >= 0 else 0
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +224,7 @@ def _conditions(b, D):
     """(cols, ech, piv): the condition rows of a normalized class on l >= 1,
     restricted to `_cols`, in one semi-echelon basis (`_append_row`).  H^0(D)
     is their kernel there, so its dim is len(cols) - len(ech)."""
-    A, _ = _ambient_size(D)
+    A = _coeff_degree(D)
     ech, piv = [], []
     for P, side, c in D.parts:
         for row in _line_rows_on_cols(b, D.dprime, A, P, _other_side(side), c):
@@ -227,9 +237,9 @@ def _ambient_model(b, D):
     of `_conditions`, zero at the conic multiples' pivots, in rref."""
     F = b.field
     m = _Model()
-    m.cls, m.kind, m.dp = D, "ambient", D.dprime
-    m.A, m.N = _ambient_size(D)
+    m.cls, m.dp, m.A = D, D.dprime, _coeff_degree(D)
     m.monos = monomial_basis(m.dp)
+    m.N = len(m.monos) * (m.A + 1) if m.A >= 0 else 0
     cols, ech, _ = _conditions(b, D)
     at = {j: i for i, j in enumerate(cols)}
     kernel = [[v[at[j]] if j in at else F.zero for j in range(m.N)]
@@ -243,109 +253,86 @@ def _other_side(side):
     return "Ep" if side == "E" else "E"
 
 
-# --- condition rows over residue fields ---
-
-
-def _kappa_coords(K, F, x):
-    return [x] if K is F or K == F else list(x)
+# --- vanishing rows over residue fields ---
 
 
 @lru_cache(maxsize=None)
-def _line_ann_rows(b, dp, A, P, side, level):
-    """Rows whose joint kernel is (component ideal)^level plus conic multiples."""
+def _ann_rows(b, dp, A, P, side, level):
+    """Rows over F, in rref, whose joint kernel in the layout of (dp, A) is
+    (component ideal)^level plus, on l >= 1, the conic multiples.
+
+    A full fiber's ideal is (p_P), taken over F.  A line's is (p, L) at one
+    place of kappa(P), p that place's linear form and L the line, since p_P
+    itself would also pin the conjugate lines; its annihilator over kappa(P)
+    gives one row per coordinate of kappa(P) over F."""
     F = b.field
-    monos = monomial_basis(dp)
-    midx = {mm: i for i, mm in enumerate(monos)}
+    monos = _monos(b, dp)
     N = len(monos) * (A + 1) if A >= 0 else 0
     if N == 0:
         return ()
-    K = curve.residue_field(F, P)
-    emb = (lambda c: c) if P.degree == 1 else K.embed
-    line = fiber_lines(b, P)[0 if side == "E" else 1]
-    deg = P.degree
-    if deg == 1:
-        pf = point_form(F, P)
+    if side == "full":
+        K = F
+        power = BinaryForm(0, (F.one,))
+        for _ in range(level):
+            power = bf_mul(F, power, point_form(F, P))
+        # (multiplier form, spots): a spot is the (monomial index, coefficient)
+        # list of the monomial part of one generator
+        terms = [(power, [((i, F.one),) for i in range(len(monos))])]
     else:
-        # one place of kappa(P) only: p_P itself would also pin the conjugates
-        theta = curve.residue_of_poly(F, P, (F.zero, F.one))
-        pf = BinaryForm(1, (K.neg(theta), K.one))
-    powers = [BinaryForm(0, (K.one,))]
-    for _ in range(level):
-        powers.append(bf_mul(K, powers[-1], pf))
-    lvec = {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]}
-    lpow = [{(0, 0, 0): K.one}]
-    for _ in range(level):
-        nxt = {}
-        for mm, cm in lpow[-1].items():
-            for mv, cv in lvec.items():
-                if cv == K.zero or cm == K.zero:
-                    continue
-                MM = (mm[0] + mv[0], mm[1] + mv[1], mm[2] + mv[2])
-                nxt[MM] = K.add(nxt.get(MM, K.zero), K.mul(cm, cv))
-        lpow.append(nxt)
-    gens = [[emb(c) for c in r] for r in _z_source_rows(b, dp, A)]
-    for i in range(level + 1):
-        j = level - i
-        if j > dp or A - i < 0:
-            continue
-        pi = powers[i]
-        for mc in monomial_basis(dp - j):
-            for tau in range(A - i + 1):
+        line = fiber_lines(b, P)[0 if side == "E" else 1]
+        K = curve.residue_field(F, P)
+        if P.degree == 1:
+            pf = point_form(F, P)
+        else:
+            theta = curve.residue_of_poly(F, P, (F.zero, F.one))
+            pf = BinaryForm(1, (K.neg(theta), K.one))
+        powers = [BinaryForm(0, (K.one,))]
+        for _ in range(level):
+            powers.append(bf_mul(K, powers[-1], pf))
+        lvec = {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]}
+        lpow = [{(0, 0, 0): K.one}]
+        for _ in range(level):
+            nxt = {}
+            for mm, cm in lpow[-1].items():
+                for mv, cv in lvec.items():
+                    if cv == K.zero or cm == K.zero:
+                        continue
+                    MM = (mm[0] + mv[0], mm[1] + mv[1], mm[2] + mv[2])
+                    nxt[MM] = K.add(nxt.get(MM, K.zero), K.mul(cm, cv))
+            lpow.append(nxt)
+        midx = {mm: i for i, mm in enumerate(monos)}
+        # p^i L^(level - i) times every monomial of degree dp - (level - i)
+        terms = [(powers[i], [tuple((midx[(mc[0] + ml[0], mc[1] + ml[1], mc[2] + ml[2])], cl)
+                                    for ml, cl in lpow[level - i].items())
+                              for mc in monomial_basis(dp - level + i)])
+                 for i in range(level + 1)]
+    emb = (lambda c: c) if K is F else K.embed
+    zrows = _z_source_rows(b, dp, A) if b.l else ()
+    gens = [[emb(c) for c in r] for r in zrows]
+    for pi, spots in terms:
+        for spot in spots:
+            for tau in range(A - pi.degree + 1):
                 row = [K.zero] * N
-                for ml, cl in lpow[j].items():
-                    M = (mc[0] + ml[0], mc[1] + ml[1], mc[2] + ml[2])
-                    base = midx[M] * (A + 1)
+                for m, cl in spot:
+                    base = m * (A + 1) + tau
                     for k, cf in enumerate(pi.coeffs):
                         if cf != K.zero:
-                            row[base + tau + k] = K.add(row[base + tau + k],
-                                                        K.mul(cl, cf))
+                            row[base + k] = K.add(row[base + k], K.mul(cl, cf))
                 gens.append(row)
     ann = _nullspace(K, gens, N)
-    rows = []
-    for y in ann:
-        coords = [_kappa_coords(K, F, c) for c in y]
-        for sig in range(deg):
-            rows.append([coords[i][sig] for i in range(N)])
-    ech, _ = _rref(F, rows)
+    if K is not F:
+        ann = [[c[sig] for c in y] for y in ann for sig in range(P.degree)]
+    ech, _ = _rref(F, ann)
     # `_conditions` and the pool read these rows on `_cols` only
-    if any(_dot(F, r, z) != F.zero for r in ech for z in _z_source_rows(b, dp, A)):
+    if any(_dot(F, r, z) != F.zero for r in ech for z in zrows):
         raise AssertionError("conic multiples escaped the condition kernel")
     return tuple(tuple(r) for r in ech)
 
 
 @lru_cache(maxsize=None)
-def _full_ann_rows(b, dp, A, P, level):
-    """Rows whose joint kernel is p_P^level multiples plus conic multiples."""
-    F = b.field
-    monos = monomial_basis(dp)
-    midx = {mm: i for i, mm in enumerate(monos)}
-    N = len(monos) * (A + 1) if A >= 0 else 0
-    if N == 0:
-        return ()
-    pf = point_form(F, P)
-    power = BinaryForm(0, (F.one,))
-    for _ in range(level):
-        power = bf_mul(F, power, pf)
-    gens = [list(r) for r in _z_source_rows(b, dp, A)]
-    rem = A - level * P.degree
-    if rem >= 0:
-        for mc in monos:
-            base = midx[mc] * (A + 1)
-            for tau in range(rem + 1):
-                row = [F.zero] * N
-                for k, cf in enumerate(power.coeffs):
-                    if cf != F.zero:
-                        row[base + tau + k] = cf
-                gens.append(row)
-    ann = _nullspace(F, gens, N)
-    ech, _ = _rref(F, ann)
-    return tuple(tuple(r) for r in ech)
-
-
-@lru_cache(maxsize=None)
 def _line_rows_on_cols(b, dp, A, P, side, level):
-    """`_line_ann_rows` restricted to `_cols`, once per cached block."""
-    return tuple([r[j] for j in _cols(b, dp, A)] for r in _line_ann_rows(b, dp, A, P, side, level))
+    """`_ann_rows` of a line restricted to `_cols`, once per cached block."""
+    return tuple([r[j] for j in _cols(b, dp, A)] for r in _ann_rows(b, dp, A, P, side, level))
 
 
 # --- sections ---
@@ -395,41 +382,20 @@ def section_space(b, D):
 # --- component multiplicities ---
 
 
-def _binary_val(F, form, P):
-    """Order of p_P dividing a nonzero binary form."""
-    if P.is_infinity:
-        aff = gf.poly_trim(F, form.coeffs)
-        return form.degree - gf.deg(aff)
-    g = gf.poly_trim(F, form.coeffs)
-    ppoly = tuple(P.poly)
-    v = 0
-    while True:
-        quo, rem = gf.poly_divmod(F, g, ppoly)
-        if rem:
-            return v
-        g, v = quo, v + 1
-
-
 def component_multiplicity(b, s, P, side):
     """Largest power of the named component ideal containing the section."""
     model = _model(b, s.cls)
     F = b.field
     flat = _flat_of_section(b, model, s)
-    if all(c == F.zero for c in flat):
+    # a multiple of the conic is the zero section on X
+    zrows = _z_source_rows(b, model.dp, model.A) if b.l else ()
+    if all(c == F.zero for c in _reduce_vec(F, *_rref(F, zrows), flat)):
         raise ZeroSection("the zero section has no divisor")
-    if model.kind == "param":
-        if side != "full":
-            raise NotASplitFiber("a trivial bundle has no split fibers")
-        return min(_binary_val(F, form, P) for form in _coeff_dict(model, flat).values()
-                   if any(c != F.zero for c in form.coeffs))
     guard = model.dp + model.A + 2
     k = 0
     while k <= guard:
-        if side == "full":
-            rows = _full_ann_rows(b, model.dp, model.A, P, k + 1)
-        else:
-            rows = _line_ann_rows(b, model.dp, model.A, P, side, k + 1)
-        if any(_dot(F, r, flat) != F.zero for r in rows):
+        if any(_dot(F, r, flat) != F.zero
+               for r in _ann_rows(b, model.dp, model.A, P, side, k + 1)):
             return k
         k += 1
     raise AssertionError("valuation loop failed to terminate")
@@ -480,21 +446,13 @@ def _forced_level(D, P, line_side):
 
 
 def _containment_rows(b, D, P, side):
-    """Flat rows expressing that the member divisor contains the component."""
-    if b.l == 0:
-        if side != "full":
-            raise NotASplitFiber("a trivial bundle has no split fibers")
-        return _param_full_rows(b, D, P)
-    dp, (A, _) = D.dprime, _ambient_size(D)
-    if side == "full":
-        sf = b.singular_fiber_at(P)
-        if sf is not None and sf.fiber_class is FiberClass.SPLIT_PAIR:
-            rows = []
-            for ls in ("E", "Ep"):
-                rows.extend(_line_ann_rows(b, dp, A, P, ls, _forced_level(D, P, ls) + 1))
-            return rows
-        return _full_ann_rows(b, dp, A, P, 1)
-    return _line_ann_rows(b, dp, A, P, side, _forced_level(D, P, side) + 1)
+    """Flat rows expressing that the member divisor contains the component; a
+    full fiber over a split point is both its lines."""
+    dp, A = D.dprime, _coeff_degree(D)
+    if side == "full" and P not in b.split_points:
+        return _ann_rows(b, dp, A, P, "full", 1)
+    return [row for ls in (("E", "Ep") if side == "full" else (side,))
+            for row in _ann_rows(b, dp, A, P, ls, _forced_level(D, P, ls) + 1)]
 
 
 def _on_coords(b, D, blocks):
@@ -511,31 +469,6 @@ def _on_coords(b, D, blocks):
                    for row in (_reduce_vec(F, ech, piv, [r[c] for c in cols]) for r in blk)]
                   for blk in blocks]
     return [[tuple(r) for r in _rref(F, blk)[0]] for blk in blocks]
-
-
-def _param_full_rows(b, D, P):
-    """Coefficient-divisibility rows for a full fiber on the ruled layout of D."""
-    F = b.field
-    delta, e = picard.type_of(b, D)
-    A, N = e // 2, _ruled_dim(delta, e)
-    width = A + 1
-    rows = []
-    if P.is_infinity:
-        for i in range(delta + 1):
-            row = [F.zero] * N
-            row[i * width + A] = F.one
-            rows.append(row)
-    else:
-        K = curve.residue_field(F, P)
-        red = [_kappa_coords(K, F, curve.residue_of_poly(F, P, ((F.zero,) * t) + (F.one,)))
-               for t in range(width)]
-        for i in range(delta + 1):
-            for sig in range(P.degree):
-                row = [F.zero] * N
-                for t in range(width):
-                    row[i * width + t] = red[t][sig]
-                rows.append(row)
-    return rows
 
 
 def proportion_exact(b, D, S):

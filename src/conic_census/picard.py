@@ -11,6 +11,7 @@ dprime is allowed to be a half-integer Fraction on bundles with l = 0, where
 the hyperplane class has square zero and odd fiber degrees exist.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,11 @@ class NumClass:
 
     def canonical(self):
         """(dprime, a, ((P, coeff), ...)) with every coefficient rewritten onto the E side."""
+        return self._canonical
+
+    @functools.cached_property
+    def _canonical(self):
+        # built once per instance: every lru_cache keyed on a class hashes it
         a = self.a
         bs = []
         for P, side, c in self.parts:
@@ -56,10 +62,10 @@ class NumClass:
         return (self.dprime, a, tuple((P, c) for P, c in bs if c != 0))
 
     def __eq__(self, other):
-        return isinstance(other, NumClass) and self.canonical() == other.canonical()
+        return isinstance(other, NumClass) and self._canonical == other._canonical
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash(self._canonical)
 
 
 def _part_key(part):

@@ -10,7 +10,8 @@ import numbers
 from fractions import Fraction
 from operator import eq, mul
 
-from conic_census import curve, linsys
+from conic_census import curve, gf, linsys, picard
+from conic_census.bundle import BinaryForm, bf_mul, point_form
 from conic_census.errors import OutsideConvergenceRegion
 
 
@@ -59,13 +60,87 @@ def ambient_basis(b, D):
     joint kernel of all its condition rows in the full ambient space, each
     kernel vector reduced by the rref of the conic multiples, then rref."""
     F = b.field
-    A, N = linsys._ambient_size(D)
+    A = linsys._coeff_degree(D)
+    N = len(linsys.monomial_basis(D.dprime)) * (A + 1) if A >= 0 else 0
     zech, zpiv = linsys._rref(F, linsys._z_source_rows(b, D.dprime, A))
     cond = [row for P, side, c in D.parts
-            for row in linsys._line_ann_rows(b, D.dprime, A, P, linsys._other_side(side), c)]
+            for row in linsys._ann_rows(b, D.dprime, A, P, linsys._other_side(side), c)]
     kernel = linsys._nullspace(F, cond, N)
     basis, _ = linsys._rref(F, [linsys._reduce_vec(F, zech, zpiv, v) for v in kernel])
     return tuple(tuple(r) for r in basis)
+
+
+def full_ann_rows(b, dp, A, P, level):
+    """Rows whose joint kernel is p_P^level multiples plus conic multiples, on
+    the ambient layout of (dp, A) for every l: the reference for
+    `linsys._ann_rows` on a full fiber."""
+    F = b.field
+    monos = linsys.monomial_basis(dp)
+    midx = {mm: i for i, mm in enumerate(monos)}
+    N = len(monos) * (A + 1) if A >= 0 else 0
+    if N == 0:
+        return ()
+    pf = point_form(F, P)
+    power = BinaryForm(0, (F.one,))
+    for _ in range(level):
+        power = bf_mul(F, power, pf)
+    gens = [list(r) for r in linsys._z_source_rows(b, dp, A)]
+    rem = A - level * P.degree
+    if rem >= 0:
+        for mc in monos:
+            base = midx[mc] * (A + 1)
+            for tau in range(rem + 1):
+                row = [F.zero] * N
+                for k, cf in enumerate(power.coeffs):
+                    if cf != F.zero:
+                        row[base + tau + k] = cf
+                gens.append(row)
+    ann = linsys._nullspace(F, gens, N)
+    ech, _ = linsys._rref(F, ann)
+    return tuple(tuple(r) for r in ech)
+
+
+def param_full_rows(b, D, P):
+    """Coefficient-divisibility rows for a full fiber on the ruled l = 0 layout
+    of D: every coefficient form reduces to 0 in kappa(P), or has no s^A term
+    at infinity.  The reference for `linsys._ann_rows` there."""
+    F = b.field
+    delta, e = picard.type_of(b, D)
+    A = e // 2
+    width = A + 1
+    N = (delta + 1) * width if e >= 0 else 0
+    if N == 0:
+        return []
+    rows = []
+    if P.is_infinity:
+        for i in range(delta + 1):
+            row = [F.zero] * N
+            row[i * width + A] = F.one
+            rows.append(row)
+    else:
+        K = curve.residue_field(F, P)
+        red = [curve.residue_of_poly(F, P, ((F.zero,) * t) + (F.one,)) for t in range(width)]
+        red = [[x] if K is F else list(x) for x in red]
+        for i in range(delta + 1):
+            for sig in range(P.degree):
+                row = [F.zero] * N
+                for t in range(width):
+                    row[i * width + t] = red[t][sig]
+                rows.append(row)
+    return rows
+
+
+def binary_val(F, form, P):
+    """Order of p_P dividing a nonzero binary form, by polynomial division."""
+    g = gf.poly_trim(F, form.coeffs)
+    if P.is_infinity:
+        return form.degree - gf.deg(g)
+    v = 0
+    while True:
+        quo, rem = gf.poly_divmod(F, g, tuple(P.poly))
+        if rem:
+            return v
+        g, v = quo, v + 1
 
 
 def rows_on_basis(F, rows, basis):

@@ -188,9 +188,8 @@ def test_three_engines_agree_on_trivial_bundle():
         D = picard.normalize(b0, the_class(b0, 2, e))
         want = linsys.fiberfree_count(b0, D)
         model = linsys._ambient_model(b0, D)
-        assert model.kind == "ambient"
         ambient_pool = [oracles.rows_on_basis(
-            F3, linsys._full_ann_rows(b0, model.dp, model.A, P, 1), model.basis)
+            F3, oracles.full_ann_rows(b0, model.dp, model.A, P, 1), model.basis)
             for P in curve.closed_points_up_to(F3, e // 2)]
         for pool, n in ((ambient_pool, model.dim),
                         (linsys._component_pool(b0, D), linsys._dim(b0, D))):
@@ -437,8 +436,8 @@ def _gcd_fiber_free(b, D, model, flat):
         return False
     for P in b.split_points:
         for side in ("E", "Ep"):
-            rows = linsys._line_ann_rows(b, model.dp, model.A, P, side,
-                                         linsys._forced_level(D, P, side) + 1)
+            rows = linsys._ann_rows(b, model.dp, model.A, P, side,
+                                    linsys._forced_level(D, P, side) + 1)
             if all(linsys._dot(F, r, flat) == F.zero for r in rows):
                 return False
     return True

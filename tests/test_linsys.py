@@ -1,5 +1,7 @@
 """Section spaces, component multiplicities, and sieve proportions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,19 @@ def test_component_multiplicity_rejects_zero_and_nonsplit_sides():
     with pytest.raises(NotASplitFiber):
         linsys.component_multiplicity(
             b1, Section(class_at(1, 0), {(0, 0, 1): BinaryForm(0, (1,))}), P_T, "E")
+
+
+def test_component_multiplicity_refuses_a_multiple_of_the_conic():
+    # (t, s, s + t) on x^2, y^2, z^2 is the conic of b_mixed itself, so the
+    # section is zero on X; the valuation loop never ended on it
+    b1 = b_mixed()
+    for scalar in (1, 2):
+        conic = Section(class_at(2, 1), {
+            m: BinaryForm(1, tuple(F3.mul(scalar, c) for c in form))
+            for m, form in (((2, 0, 0), (0, 1)), ((0, 2, 0), (1, 0)), ((0, 0, 2), (1, 1)))})
+        for side in ("E", "Ep", "full"):
+            with pytest.raises(ZeroSection):
+                linsys.component_multiplicity(b1, conic, P_T1, side)
 
 
 def test_component_multiplicity_rejects_sections_outside_the_layout():
@@ -348,6 +363,67 @@ def test_trivial_bundle_proportions_have_no_defect():
         if S.height > window:
             continue
         assert linsys.proportion_exact(b0, D, S) == linsys.proportion_product(b0, D, S)
+
+
+def test_proportion_on_an_empty_ruled_class_is_one_at_every_point():
+    # type (2, -2) on the trivial bundle has no sections, so no condition;
+    # the ruled rows at infinity once indexed past the empty layout
+    b0 = b_trivial()
+    (D,) = picard.classes_of_type(b0, 2, -2)
+    for P in (P_T, P_INF):
+        assert linsys.proportion_exact(b0, D, component_set(b0, [(P, "full")])) == 1
+
+
+def _divisible_section(b, model, rng, P, k):
+    """A section of the ruled model whose coefficient forms are random
+    multiples of p_P^k, so its full-fiber valuation at P is at least k."""
+    F = b.field
+    power = BinaryForm(0, (F.one,))
+    for _ in range(k):
+        power = bundle.bf_mul(F, power, bundle.point_form(F, P))
+    rest = model.A - power.degree
+    return Section(model.cls, {m: bundle.bf_mul(F, power, BinaryForm(
+        rest, tuple(rng.randrange(F.order) for _ in range(rest + 1)))) for m in model.monos})
+
+
+def test_one_builder_matches_the_old_constructions():
+    # `_ann_rows` against the references in `oracles`: byte-equal to the
+    # ambient full-fiber rows on l >= 1, the same rref as the ruled
+    # coefficient-divisibility rows on l = 0, and the ruled valuations of
+    # polynomial division
+    points = curve.closed_points_up_to(F3, 2)
+    checked = 0
+    for b in (b_mixed(), b_double()):
+        for d, e in itertools.product((0, 2, 4), range(-2, 5)):
+            for D in picard.classes_of_type(b, d, e):
+                D = picard.normalize(b, D)
+                A = linsys._coeff_degree(D)
+                for P, level in itertools.product(points, (1, 2)):
+                    assert (linsys._ann_rows(b, D.dprime, A, P, "full", level)
+                            == oracles.full_ann_rows(b, D.dprime, A, P, level)), (D, P, level)
+                    checked += 1
+    b0 = b_trivial()
+    rng = random.Random(5)
+    for d, e in itertools.product(range(5), range(-4, 7, 2)):
+        for D in picard.classes_of_type(b0, d, e):
+            D = picard.normalize(b0, D)
+            for P in points:
+                want = linsys._rref(F3, oracles.param_full_rows(b0, D, P))[0]
+                assert linsys._ann_rows(b0, D.dprime, D.a, P, "full", 1) == tuple(map(tuple, want))
+                checked += 1
+            model = linsys._model(b0, D)
+            if model.dim == 0:
+                continue
+            for P, k in itertools.product(points, range(3)):
+                if k * P.degree > model.A:
+                    continue
+                s = _divisible_section(b0, model, rng, P, k)
+                forms = [f for f in s.ambient_coeffs.values() if any(f.coeffs)]
+                if forms:
+                    want = min(oracles.binary_val(F3, f, P) for f in forms)
+                    assert linsys.component_multiplicity(b0, s, P, "full") == want, (D, P, k)
+                    checked += 1
+    assert checked >= 1000
 
 
 def test_parameterized_model_multiplicities():

@@ -138,6 +138,24 @@ def test_swap_component():
         picard.swap_component(b1, D, Pns)
 
 
+def test_class_key_is_built_once_per_instance(monkeypatch):
+    # every lru_cache keyed on a class hashes it; once a class is hashed, further
+    # hashes and comparisons build nothing, and repr and equality stay as they were
+    P = curve.point_from_poly(F3, (1, 1))
+    D = NumClass.make(2, 1, {P: 1})
+    E = NumClass.make(2, 2, {P: -1}, {P: "Ep"})
+    hash(D), hash(E)
+    calls = []
+    canonical = NumClass.canonical
+    monkeypatch.setattr(NumClass, "canonical", lambda self: calls.append(self) or canonical(self))
+    for _ in range(3):
+        assert hash(D) == hash(E) and D == E and {D: 1}[E] == 1
+    assert calls == []
+    assert D != NumClass.make(2, 1) and D != (2, 1, ((P, 1),))
+    assert D.canonical() == E.canonical() == (2, 1, ((P, 1),))
+    assert repr(D) == f"NumClass(dprime=2, a=1, parts=(({P!r}, 'E', 1),))"
+
+
 def test_normalize_and_ranges():
     b2 = [b for b in bundle_set() if b.l == 2 and b.field is F3][0]
     pts = sorted(b2.split_points, key=lambda P: curve.point_sort_key(F3, P))
