@@ -1,26 +1,28 @@
 """Section spaces on a conic bundle, component valuations, and exact counts.
 
-Every class has one model.  On l >= 1 a class D with integer dprime >= 0 is
-modelled inside the ambient space of forms of degree dprime in (x, y, z)
-whose coefficients are binary forms of degree A = a + sum of b_P deg P over
-the stored components, taken modulo multiples of the defining conic; each
-stored component imposes vanishing conditions on the opposite line over its
-split point.  Coefficient vectors are laid out monomial-major (graded lex,
-x > y > z) with ascending t-degree inside each binary form, and every basis
-is kept in reduced row echelon form, so coset representatives are canonical.
-On l = 0 the conic factor is a smooth plane conic, so O(D) matches the
-bidegree (d, e/2) forms on a product of two projective lines: the ruled
-model, laid out like an ambient one with monomials (d - i, i), coefficient
-degree e/2 and an identity basis.  It covers integer and half-integer dprime.
+Every class has one model, built by one builder (`_model`).  A class D with
+dprime >= 0 is modelled by the forms in the monomials of its layout whose
+coefficients are binary forms of degree A = a + sum of b_P deg P over the
+stored components, taken modulo the conic multiples; each stored component
+imposes vanishing conditions on the opposite line over its split point.
+Two functions fix the layout: `_monos` and `_z_source_rows`.  On l >= 1 the
+monomials are those of integer degree dprime in (x, y, z).  On l = 0 the
+conic factor is a smooth plane conic, so O(D) matches the bidegree (d, e/2)
+forms on a product of two projective lines: the monomials are (d - i, i),
+dprime may be a half-integer, and there are no conic multiples and no
+conditions, so the basis is the identity.  Coefficient vectors are laid out
+monomial-major (graded lex) with ascending t-degree inside each binary form,
+and every basis is kept in reduced row echelon form, so coset
+representatives are canonical.
 
 Vanishing to order k along a fiber component, a line over a split point or a
 whole fiber, has one builder on both layouts (`_ann_rows`): the rows that
-annihilate the k-th power of the component's ideal plus, on l >= 1, the conic
-multiples.  Condition rows, containment rows and multiplicities all read it.
+annihilate the k-th power of the component's ideal plus the conic multiples.
+Condition rows, containment rows and multiplicities all read it.
 
-On l >= 1 dims, component pools and proportions read ranks from one echelon
-of a class's condition rows (`_conditions`); bases are built only for
-sections and multiplicities.
+Dims, component pools and proportions read ranks from one echelon of a
+class's condition rows (`_conditions`), empty on l = 0; bases are built only
+for sections and multiplicities.
 
 Fiber-free members are counted from section-space dims alone: a sieve over
 the vertical prime divisors, E_P and E'_P over each split point and F_P over
@@ -121,7 +123,10 @@ def monomial_basis(dprime):
 
 @lru_cache(maxsize=None)
 def _z_source_rows(b, dp, A):
-    """Flat generators of (conic) * (forms of degree dp-2, coefficient degree A-l)."""
+    """Flat generators of (conic) * (forms of degree dp-2, coefficient degree A-l);
+    none on the ruled l = 0 layout, whose dp may be a half-integer."""
+    if b.l == 0:
+        return ()
     F = b.field
     monos = monomial_basis(dp)
     midx = {m: i for i, m in enumerate(monos)}
@@ -163,24 +168,6 @@ def _coeff_degree(D):
     return D.a + sum(c * P.degree for P, _, c in D.parts)
 
 
-def _ruled_dim(delta, e):
-    """Dim of the ruled model of a class of type (delta, e) on l = 0: (delta + 1)(e/2 + 1)."""
-    return (delta + 1) * (e // 2 + 1) if e >= 0 else 0
-
-
-def _ruled_model(b, D):
-    """Ruled model of a class of type (d, e) on l = 0: bidegree (d, e/2) forms, identity basis."""
-    F = b.field
-    delta, e = picard.type_of(b, D)
-    m = _Model()
-    m.cls, m.dp, m.A = D, D.dprime, e // 2
-    m.monos = _monos(b, D.dprime)
-    m.N = m.dim = _ruled_dim(delta, e)
-    m.basis = tuple(tuple(F.one if i == j else F.zero for j in range(m.N))
-                    for i in range(m.N))
-    return m
-
-
 def _checked(b, D):
     """Normalize a class, refusing those with no model: half-integer dprime on
     l >= 1 and dprime < 0."""
@@ -195,18 +182,29 @@ def _checked(b, D):
 
 @lru_cache(maxsize=None)
 def _model(b, D):
-    """Build the cached model of a class, normalized first: ruled on l = 0, else ambient."""
+    """The cached model of a class, normalized first: the kernel of
+    `_conditions`, zero at the conic multiples' pivots, in rref."""
     D = _checked(b, D)
-    return _ruled_model(b, D) if b.l == 0 else _ambient_model(b, D)
+    F = b.field
+    m = _Model()
+    m.cls, m.dp, m.A = D, D.dprime, _coeff_degree(D)
+    m.monos = _monos(b, m.dp)
+    m.N = len(m.monos) * (m.A + 1) if m.A >= 0 else 0
+    cols, ech, _ = _conditions(b, D)
+    at = {j: i for i, j in enumerate(cols)}
+    kernel = [[v[at[j]] if j in at else F.zero for j in range(m.N)]
+              for v in _nullspace(F, ech, len(cols))]
+    m.basis = tuple(tuple(r) for r in _rref(F, kernel)[0])
+    m.dim = len(m.basis)
+    return m
 
 
 @lru_cache(maxsize=None)
 def _dim(b, D):
-    """`_model(b, D).dim`, read from ranks without building a basis: on l >= 1
-    the columns of `_conditions` less its rank.  Raises where `_model` raises."""
+    """`_model(b, D).dim`, read from ranks without building a basis: the
+    columns of `_conditions` less its rank, so on l = 0 every column.  Raises
+    where `_model` raises.  It is the one memo of dims."""
     D = _checked(b, D)
-    if b.l == 0:
-        return _ruled_dim(*picard.type_of(b, D))
     cols, ech, _ = _conditions(b, D)
     return len(cols) - len(ech)
 
@@ -217,36 +215,19 @@ def _cols(b, dp, A):
     coordinatize forms modulo the conic multiples, and a row that kills the
     conic multiples is fixed by its entries there."""
     pivots = set(_rref(b.field, _z_source_rows(b, dp, A))[1])
-    return tuple(j for j in range(len(monomial_basis(dp)) * (A + 1)) if j not in pivots)
+    return tuple(j for j in range(len(_monos(b, dp)) * (A + 1)) if j not in pivots)
 
 
 def _conditions(b, D):
-    """(cols, ech, piv): the condition rows of a normalized class on l >= 1,
-    restricted to `_cols`, in one semi-echelon basis (`_append_row`).  H^0(D)
-    is their kernel there, so its dim is len(cols) - len(ech)."""
+    """(cols, ech, piv): the condition rows of a normalized class, restricted
+    to `_cols`, in one semi-echelon basis (`_append_row`); none on l = 0.
+    H^0(D) is their kernel there, so its dim is len(cols) - len(ech)."""
     A = _coeff_degree(D)
     ech, piv = [], []
     for P, side, c in D.parts:
         for row in _line_rows_on_cols(b, D.dprime, A, P, _other_side(side), c):
             _append_row(b.field, ech, piv, row)
     return _cols(b, D.dprime, A), ech, piv
-
-
-def _ambient_model(b, D):
-    """Ambient model of a normalized class with integer dprime >= 0: the kernel
-    of `_conditions`, zero at the conic multiples' pivots, in rref."""
-    F = b.field
-    m = _Model()
-    m.cls, m.dp, m.A = D, D.dprime, _coeff_degree(D)
-    m.monos = monomial_basis(m.dp)
-    m.N = len(m.monos) * (m.A + 1) if m.A >= 0 else 0
-    cols, ech, _ = _conditions(b, D)
-    at = {j: i for i, j in enumerate(cols)}
-    kernel = [[v[at[j]] if j in at else F.zero for j in range(m.N)]
-              for v in _nullspace(F, ech, len(cols))]
-    m.basis = tuple(tuple(r) for r in _rref(F, kernel)[0])
-    m.dim = len(m.basis)
-    return m
 
 
 def _other_side(side):
@@ -259,7 +240,7 @@ def _other_side(side):
 @lru_cache(maxsize=None)
 def _ann_rows(b, dp, A, P, side, level):
     """Rows over F, in rref, whose joint kernel in the layout of (dp, A) is
-    (component ideal)^level plus, on l >= 1, the conic multiples.
+    (component ideal)^level plus the conic multiples.
 
     A full fiber's ideal is (p_P), taken over F.  A line's is (p, L) at one
     place of kappa(P), p that place's linear form and L the line, since p_P
@@ -307,7 +288,7 @@ def _ann_rows(b, dp, A, P, side, level):
                               for mc in monomial_basis(dp - level + i)])
                  for i in range(level + 1)]
     emb = (lambda c: c) if K is F else K.embed
-    zrows = _z_source_rows(b, dp, A) if b.l else ()
+    zrows = _z_source_rows(b, dp, A)
     gens = [[emb(c) for c in r] for r in zrows]
     for pi, spots in terms:
         for spot in spots:
@@ -388,7 +369,7 @@ def component_multiplicity(b, s, P, side):
     F = b.field
     flat = _flat_of_section(b, model, s)
     # a multiple of the conic is the zero section on X
-    zrows = _z_source_rows(b, model.dp, model.A) if b.l else ()
+    zrows = _z_source_rows(b, model.dp, model.A)
     if all(c == F.zero for c in _reduce_vec(F, *_rref(F, zrows), flat)):
         raise ZeroSection("the zero section has no divisor")
     guard = model.dp + model.A + 2
@@ -457,17 +438,15 @@ def _containment_rows(b, D, P, side):
 
 def _on_coords(b, D, blocks):
     """Blocks of `_containment_rows` as functionals on the dim coordinates of
-    H^0(D), each in rref.  On l >= 1 a row, fixed by its entries on `_cols`, is
-    reduced by `_conditions` and read off the condition pivots, so its rank on
-    H^0(D) is rank(conditions and rows) - rank(conditions).  The ruled layout
-    is its own coordinates."""
+    H^0(D), each in rref.  A row, fixed by its entries on `_cols`, is reduced
+    by `_conditions` and read off the condition pivots, so its rank on H^0(D)
+    is rank(conditions and rows) - rank(conditions)."""
     F = b.field
-    if b.l:
-        cols, ech, piv = _conditions(b, D)
-        keep = [j for j in range(len(cols)) if j not in piv]
-        blocks = [[[row[j] for j in keep]
-                   for row in (_reduce_vec(F, ech, piv, [r[c] for c in cols]) for r in blk)]
-                  for blk in blocks]
+    cols, ech, piv = _conditions(b, D)
+    keep = [j for j in range(len(cols)) if j not in piv]
+    blocks = [[[row[j] for j in keep]
+               for row in (_reduce_vec(F, ech, piv, [r[c] for c in cols]) for r in blk)]
+              for blk in blocks]
     return [[tuple(r) for r in _rref(F, blk)[0]] for blk in blocks]
 
 
@@ -556,13 +535,6 @@ def _check_budget(q, dim, budget):
             f"{q}^{dim} = {steps} scan steps exceed the budget {budget}")
 
 
-@lru_cache(maxsize=None)
-def _dims(b):
-    """Memo of section-space dims on one bundle, keyed by canonical coordinates
-    (dprime, a, coefficient per split point in `split_points` order)."""
-    return {}
-
-
 def _vertical_series(q, degrees, n):
     """Coefficients of T^0..T^n in (1 - T)(1 - qT) / prod over split points of
     (1 - T^deg P): the fibers over the points that do not split, since
@@ -590,22 +562,14 @@ def _sieve(b, D):
     split = b.split_points
     dp, a, parts = D.canonical()
     cs = tuple(dict(parts).get(P, 0) for P in split)
-    memo = _dims(b)
 
     def h(a, cs):
-        key = (dp, a, cs)
-        dim = memo.get(key)
-        if dim is None:
-            if dp * l + 2 * a + sum(c * P.degree for c, P in zip(cs, split)) < 0:
-                dim = 0  # H is nef, so a class with D.H < 0 has no sections
-            else:
-                try:
-                    dim = _dim(b, picard.class_from_canonical(
-                        dp, a, dict(zip(split, cs))))
-                except EmptySpace:
-                    dim = 0
-            memo[key] = dim
-        return dim
+        if dp * l + 2 * a + sum(c * P.degree for c, P in zip(cs, split)) < 0:
+            return 0  # H is nef, so a class with D.H < 0 has no sections
+        try:
+            return _dim(b, picard.class_from_canonical(dp, a, dict(zip(split, cs))))
+        except EmptySpace:
+            return 0
 
     total = 0
 
@@ -666,6 +630,13 @@ def fiberfree_count(b, D, budget=None):
 # --- irreducible counts by unique factorization ---
 
 
+def _admitted_count(b, D):
+    """`fiberfree_count` of a class that `prime_count` has admitted: the budget
+    is not charged again."""
+    D = picard.normalize(b, D)
+    return 0 if D.dprime < 0 else _fiberfree(b, D)
+
+
 def _divide(b, D, k):
     """The lattice class D/k, normalized, or None when D is not k times a class.
 
@@ -701,11 +672,11 @@ def _prime(b, D):
     holds d I(D); the terms with R != 0 are the factor pairs in both orders.
     """
     d, _ = picard.type_of(b, D)
-    n = fiberfree_count(b, D)
+    n = _admitted_count(b, D)
     total = d * n - _weighted(b, D, 2)
     for D1, D2 in _factor_pairs(b, D):
         for E, R in ((D1, D2),) if D1 == D2 else ((D1, D2), (D2, D1)):
-            nr = fiberfree_count(b, R)
+            nr = _admitted_count(b, R)
             if nr:
                 total -= _weighted(b, E) * nr
     if total % d or not 0 <= total // d <= n:
@@ -719,8 +690,9 @@ def prime_count(b, d, e, budget=None):
     the classes of the type, by unique factorization (`_prime`).
 
     No member is built.  The identity raises AssertionError when it gives
-    I(D) < 0 or I(D) > N(D), or a sum that d does not divide.  The q^dim
-    budget covers each class and its factor classes.
+    I(D) < 0 or I(D) > N(D), or a sum that d does not divide.  The pre-check of
+    the q^dim budget over each class and its factor classes is the one budget
+    gate: the recursion reads the counts without charging the budget again.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     if d < 1:

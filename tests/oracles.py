@@ -8,6 +8,7 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
+from functools import lru_cache
 from operator import eq, mul
 
 from conic_census import curve, gf, linsys, picard
@@ -55,19 +56,55 @@ def scan_fiberfree(F, pool, n):
     return count
 
 
+@lru_cache(maxsize=None)
+def z_source_rows(b, dp, A):
+    """Flat generators of (conic) * (forms of degree dp-2, coefficient degree A-l)
+    on the ambient layout of forms in (x, y, z), for every l: on l = 0 this is
+    the plane model that the ruled layout replaces in the package."""
+    F = b.field
+    monos = linsys.monomial_basis(dp)
+    midx = {m: i for i, m in enumerate(monos)}
+    N = len(monos) * (A + 1)
+    if dp < 2 or A - b.l < 0 or N == 0:
+        return ()
+    rows = []
+    squares = ((b.a, (2, 0, 0)), (b.b, (0, 2, 0)), (b.c, (0, 0, 2)))
+    for m2 in linsys.monomial_basis(dp - 2):
+        for t2 in range(A - b.l + 1):
+            row = [F.zero] * N
+            for form, sq in squares:
+                M = (m2[0] + sq[0], m2[1] + sq[1], m2[2] + sq[2])
+                base = midx[M] * (A + 1)
+                for k, cf in enumerate(form.coeffs):
+                    if cf != F.zero:
+                        row[base + t2 + k] = F.add(row[base + t2 + k], cf)
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
 def ambient_basis(b, D):
     """Basis of the ambient model of a normalized class, built the long way: the
-    joint kernel of all its condition rows in the full ambient space, each
-    kernel vector reduced by the rref of the conic multiples, then rref."""
+    joint kernel of all its condition rows in the full ambient space of forms
+    in (x, y, z), each kernel vector reduced by the rref of the conic
+    multiples, then rref.  On l = 0 it is the plane model of the class."""
     F = b.field
     A = linsys._coeff_degree(D)
     N = len(linsys.monomial_basis(D.dprime)) * (A + 1) if A >= 0 else 0
-    zech, zpiv = linsys._rref(F, linsys._z_source_rows(b, D.dprime, A))
+    zech, zpiv = linsys._rref(F, z_source_rows(b, D.dprime, A))
     cond = [row for P, side, c in D.parts
             for row in linsys._ann_rows(b, D.dprime, A, P, linsys._other_side(side), c)]
     kernel = linsys._nullspace(F, cond, N)
     basis, _ = linsys._rref(F, [linsys._reduce_vec(F, zech, zpiv, v) for v in kernel])
     return tuple(tuple(r) for r in basis)
+
+
+def ruled_basis(b, D):
+    """Basis of the ruled model of a class of type (d, e) on l = 0: the bidegree
+    (d, e/2) forms, all (d + 1)(e/2 + 1) of them, as the identity basis."""
+    F = b.field
+    delta, e = picard.type_of(b, D)
+    n = (delta + 1) * (e // 2 + 1) if e >= 0 else 0
+    return tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
 
 
 def full_ann_rows(b, dp, A, P, level):
@@ -84,7 +121,7 @@ def full_ann_rows(b, dp, A, P, level):
     power = BinaryForm(0, (F.one,))
     for _ in range(level):
         power = bf_mul(F, power, pf)
-    gens = [list(r) for r in linsys._z_source_rows(b, dp, A)]
+    gens = [list(r) for r in z_source_rows(b, dp, A)]
     rem = A - level * P.degree
     if rem >= 0:
         for mc in monos:

@@ -170,7 +170,7 @@ def test_sieve_reads_dims_only(monkeypatch):
 
     monkeypatch.setattr(linsys, "_component_pool", refuse)
     monkeypatch.setattr(curve, "closed_points_up_to", refuse)
-    for memo in (linsys._fiberfree, linsys._prime, linsys._dims):
+    for memo in (linsys._fiberfree, linsys._prime, linsys._dim):
         memo.cache_clear()
     assert linsys.prime_count(b_trivial(), 2, 8) == PRIME_D2[8]
     b1 = b_mixed()
@@ -181,17 +181,17 @@ def test_sieve_reads_dims_only(monkeypatch):
 
 def test_three_engines_agree_on_trivial_bundle():
     # ruled count == scan oracle == subset sum, on the ruled component pool and
-    # on the ambient model, whose pool is every full fiber of height <= e
-    # (the bundle has no singular fibers) mapped onto the model's basis
+    # on the plane model of the oracles, whose pool is every full fiber of
+    # height <= e (the bundle has no singular fibers) mapped onto its basis
     b0 = b_trivial()
     for e in (0, 2, 4, 6):
         D = picard.normalize(b0, the_class(b0, 2, e))
         want = linsys.fiberfree_count(b0, D)
-        model = linsys._ambient_model(b0, D)
+        basis = oracles.ambient_basis(b0, D)
         ambient_pool = [oracles.rows_on_basis(
-            F3, oracles.full_ann_rows(b0, model.dp, model.A, P, 1), model.basis)
+            F3, oracles.full_ann_rows(b0, D.dprime, D.a, P, 1), basis)
             for P in curve.closed_points_up_to(F3, e // 2)]
-        for pool, n in ((ambient_pool, model.dim),
+        for pool, n in ((ambient_pool, len(basis)),
                         (linsys._component_pool(b0, D), linsys._dim(b0, D))):
             scan = oracles.scan_fiberfree(b0.field, pool, n)
             tri = linsys._tri_count(b0.field, pool, n)
@@ -200,14 +200,15 @@ def test_three_engines_agree_on_trivial_bundle():
 
 @pytest.mark.parametrize("F", [F3, F5, F9], ids=["F3", "F5", "F9"])
 def test_ambient_and_ruled_models_agree_in_dim_on_l0(F):
-    # the ambient model stays buildable on l = 0 as the ruled model's oracle;
-    # odd d gives half-integer dprime, which has only the ruled model
+    # the plane model of the oracles, forms in (x, y, z) modulo the conic
+    # multiples, checks the ruled model on l = 0; odd d gives half-integer
+    # dprime, which has only the ruled model
     b0 = mk(F, 0, (F.one,), (F.one,), (F.neg(F.one),))
     checked = 0
     for d, e in itertools.product((0, 2, 4), range(-6, 9)):
         for D in picard.classes_of_type(b0, d, e):
             D = picard.normalize(b0, D)
-            assert linsys._ambient_model(b0, D).dim == linsys._model(b0, D).dim, (d, e)
+            assert len(oracles.ambient_basis(b0, D)) == linsys._model(b0, D).dim, (d, e)
             checked += 1
     assert checked >= 20
 
@@ -225,6 +226,16 @@ def test_scan_oracle_matches_subset_sum_on_benchmarked_classes(d, heights):
             scan = oracles.scan_fiberfree(F3, pool, dim)
             tri = linsys._tri_count(F3, pool, dim)
             assert scan == tri == linsys.fiberfree_count(b, D), (e, D)
+
+
+def test_prime_count_honors_a_budget_above_the_default():
+    # dim 18 on the classes of type (2, 10): 3^18 exceeds the default budget,
+    # and the recursion must not charge the default again once they are admitted
+    b0 = b_trivial()
+    got = linsys.prime_count(b0, 2, 10, budget=10 ** 12)
+    assert got == sum(linsys._prime(b0, D) for D in picard.classes_of_type(b0, 2, 10))
+    with pytest.raises(EnumerationBudgetExceeded):
+        linsys.prime_count(b0, 2, 10)
 
 
 def test_budget_refusal_is_not_truncation():

@@ -469,8 +469,8 @@ def _dim_outcome(read, b, D):
 
 @pytest.mark.parametrize("make, degrees", [
     (b_mixed, (2, 4)), (b_double, (2, 4)), (lambda: b_catalog_l1(F5), (2, 4)),
-    (lambda: b_catalog_l1(F9), (2,)), (b_f25_l2, (2,))],
-    ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2"])
+    (lambda: b_catalog_l1(F9), (2,)), (b_f25_l2, (2,)), (b_trivial, (1, 2, 3))],
+    ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2", "F3-l0-trivial"])
 def test_dim_from_ranks_matches_model_dim(make, degrees):
     b = make()
     classes = [NumClass.make(-1, 3), NumClass.make(Fraction(1, 2), 2)]
@@ -480,8 +480,11 @@ def test_dim_from_ranks_matches_model_dim(make, degrees):
                 classes.append(D)
                 # the sieve reads classes below D, some with no sections
                 classes.append(picard.class_from_canonical(D.dprime - 1, D.a, {}))
+                if b.l == 0:  # the bidegree (d, e/2) forms of the ruled layout
+                    assert linsys._dim(b, D) == ((d + 1) * (e // 2 + 1) if e >= 0 else 0), D
     split = sorted(b.split_points, key=lambda P: curve.point_sort_key(b.field, P))
-    classes.append(NumClass.make(1, 0, {split[0]: -1}))  # stored unnormalized
+    if split:
+        classes.append(NumClass.make(1, 0, {split[0]: -1}))  # stored unnormalized
     for D in classes:
         want = _dim_outcome(lambda b, D: linsys._model(b, D).dim, b, D)
         assert _dim_outcome(linsys._dim, b, D) == want, D
@@ -494,7 +497,6 @@ def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
         raise AssertionError("the threshold scan built a model")
 
     monkeypatch.setattr(linsys, "_model", refuse)
-    monkeypatch.setattr(linsys, "_ambient_model", refuse)
     assert linsys.scan_dimension_threshold(make(), curve.P1_CURVE, d) == want
 
 
@@ -503,14 +505,16 @@ def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
 def test_ambient_basis_matches_full_kernel_oracle(make):
     # the kernel of the condition echelon on the columns off the conic
     # multiples' pivots, padded with zeros, spans the full ambient kernel
-    # reduced modulo the conic multiples: the rref bases are equal
+    # reduced modulo the conic multiples: the rref bases are equal.  On l = 0
+    # the layout is ruled, with no conic multiples, so the basis is the identity
     b = make()
+    oracle = oracles.ambient_basis if b.l else oracles.ruled_basis
     checked = 0
     for d in (0, 2, 4):
         for e in range(-4, 9):
             for D in picard.classes_of_type(b, d, e):
                 D = picard.normalize(b, D)
-                assert linsys._ambient_model(b, D).basis == oracles.ambient_basis(b, D), D
+                assert linsys._model(b, D).basis == oracle(b, D), D
                 checked += 1
     assert checked >= 20
 
@@ -521,9 +525,8 @@ def test_counting_path_builds_no_model(monkeypatch):
     def refuse(b, D):
         raise AssertionError("the counting path built a model")
 
-    for name in ("_model", "_ambient_model", "_ruled_model"):
-        monkeypatch.setattr(linsys, name, refuse)
-    for memo in (linsys._dim, linsys._fiberfree, linsys._prime, linsys._dims):
+    monkeypatch.setattr(linsys, "_model", refuse)
+    for memo in (linsys._dim, linsys._fiberfree, linsys._prime):
         memo.cache_clear()
     b1 = b_mixed()
     assert linsys.prime_count(b1, 4, 2) == 225
