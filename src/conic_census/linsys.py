@@ -18,7 +18,10 @@ representatives are canonical.
 Vanishing to order k along a fiber component, a line over a split point or a
 whole fiber, has one builder on both layouts (`_ann_rows`): the rows that
 annihilate the k-th power of the component's ideal plus the conic multiples.
-Condition rows, containment rows and multiplicities all read it.
+It reduces each coefficient form mod pi, p_P^k over F for a fiber and the
+place's linear form to the k-th over kappa(P) for a line, and eliminates in
+|monos| deg pi columns whatever the coefficient degree.  Condition rows,
+containment rows and multiplicities all read it.
 
 Dims, component pools and proportions read ranks from one echelon of a
 class's condition rows (`_conditions`), empty on l = 0; bases are built only
@@ -40,6 +43,7 @@ sub-classes by a recursion on the fiber degree; no member is built.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from . import curve, picard
 from .bundle import BinaryForm, FiberClass, bf_mul, fiber_lines, point_form
@@ -101,9 +105,9 @@ def _nullspace(F, rows, n):
 
 
 def _dot(F, row, vec):
-    out = F.zero
+    out = zero = F.zero
     for a, b in zip(row, vec):
-        if a != F.zero and b != F.zero:
+        if b != zero and a != zero:
             out = F.add(out, F.mul(a, b))
     return out
 
@@ -245,20 +249,24 @@ def _ann_rows(b, dp, A, P, side, level):
     A full fiber's ideal is (p_P), taken over F.  A line's is (p, L) at one
     place of kappa(P), p that place's linear form and L the line, since p_P
     itself would also pin the conjugate lines; its annihilator over kappa(P)
-    gives one row per coordinate of kappa(P) over F."""
+    gives one row per coordinate of kappa(P) over F.
+
+    With pi = p_P^level or p^level, R reduces each coefficient form mod pi,
+    into the sum over the monomials of K[u]/(pi).  Its kernel, pi times the
+    forms of degree A - deg pi, is a full fiber's ideal I and the p^level
+    generators of a line's, so ker R lies in I, and the rows killing I plus the
+    conic multiples Z are psi o R for the psi killing R(I) + R(Z)."""
     F = b.field
     monos = _monos(b, dp)
-    N = len(monos) * (A + 1) if A >= 0 else 0
-    if N == 0:
+    if A < 0 or not monos or level < 1:
         return ()
     if side == "full":
         K = F
-        power = BinaryForm(0, (F.one,))
+        pi = BinaryForm(0, (F.one,))
         for _ in range(level):
-            power = bf_mul(F, power, point_form(F, P))
-        # (multiplier form, spots): a spot is the (monomial index, coefficient)
-        # list of the monomial part of one generator
-        terms = [(power, [((i, F.one),) for i in range(len(monos))])]
+            pi = bf_mul(F, pi, point_form(F, P))
+        # (multiplier form, spots) of the generators off the kernel of R: none
+        terms = []
     else:
         line = fiber_lines(b, P)[0 if side == "E" else 1]
         K = curve.residue_field(F, P)
@@ -270,6 +278,7 @@ def _ann_rows(b, dp, A, P, side, level):
         powers = [BinaryForm(0, (K.one,))]
         for _ in range(level):
             powers.append(bf_mul(K, powers[-1], pf))
+        pi = powers[-1]
         lvec = {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]}
         lpow = [{(0, 0, 0): K.one}]
         for _ in range(level):
@@ -282,25 +291,52 @@ def _ann_rows(b, dp, A, P, side, level):
                     nxt[MM] = K.add(nxt.get(MM, K.zero), K.mul(cm, cv))
             lpow.append(nxt)
         midx = {mm: i for i, mm in enumerate(monos)}
-        # p^i L^(level - i) times every monomial of degree dp - (level - i)
+        # p^i L^(level - i) times every monomial of degree dp - (level - i);
+        # i = level spans the kernel of R and is left out
         terms = [(powers[i], [tuple((midx[(mc[0] + ml[0], mc[1] + ml[1], mc[2] + ml[2])], cl)
                                     for ml, cl in lpow[level - i].items())
                               for mc in monomial_basis(dp - level + i)])
-                 for i in range(level + 1)]
+                 for i in range(level)]
+    # res[tau] is t^tau s^(A - tau) mod pi in the chart where pi is monic: u = t
+    # at a finite point, u = s (exponent A - tau) at infinity.  nres holds
+    # -res, so v + c res[tau] is K.sub_scaled(v, c, nres[tau])
+    n, width = pi.degree, len(monos) * pi.degree
+    mod = pi.coeffs[::-1] if P.is_infinity else pi.coeffs
+    upow = [[K.one] + [K.zero] * (n - 1)]
+    for _ in range(A):
+        upow.append(K.sub_scaled([K.zero] + upow[-1][:-1], upow[-1][-1], mod))
+    nres = [[K.neg(x) for x in r] for r in (upow[::-1] if P.is_infinity else upow)]
+    S = []
+    for f, spots in terms:
+        # R(f t^tau s^(...)) is f u^x mod pi, x the cofactor's exponent in u;
+        # f divides pi, so x < n - deg f spans them all and needs no reduction
+        chart = list(f.coeffs[::-1] if P.is_infinity else f.coeffs)
+        for x in range(min(A, n - 1) - f.degree + 1):
+            beta = [K.zero] * x + chart + [K.zero] * (n - 1 - f.degree - x)
+            for spot in spots:
+                row = [K.zero] * width
+                for m, cl in spot:
+                    row[m * n:(m + 1) * n] = K.scaled(cl, beta)
+                S.append(row)
     emb = (lambda c: c) if K is F else K.embed
     zrows = _z_source_rows(b, dp, A)
-    gens = [[emb(c) for c in r] for r in zrows]
-    for pi, spots in terms:
-        for spot in spots:
-            for tau in range(A - pi.degree + 1):
-                row = [K.zero] * N
-                for m, cl in spot:
-                    base = m * (A + 1) + tau
-                    for k, cf in enumerate(pi.coeffs):
-                        if cf != K.zero:
-                            row[base + k] = K.add(row[base + k], K.mul(cl, cf))
-                gens.append(row)
-    ann = _nullspace(K, gens, N)
+    for z in zrows:
+        row = [K.zero] * width
+        for j in compress(range(len(z)), z):  # the nonzero entries: F's zero is 0
+            m, tau = divmod(j, A + 1)
+            row[m * n:(m + 1) * n] = K.sub_scaled(row[m * n:(m + 1) * n], emb(z[j]), nres[tau])
+        S.append(row)
+    # y = psi o R by monomial blocks: a block is sum_j psi_j (column j of res)
+    ncols, ann = list(zip(*nres)), []
+    for psi in _nullspace(K, S, width):
+        y = []
+        for m in range(len(monos)):
+            blk = [K.zero] * (A + 1)
+            for j, c in enumerate(psi[m * n:(m + 1) * n]):
+                if c != K.zero:
+                    blk = K.sub_scaled(blk, c, ncols[j])
+            y += blk
+        ann.append(y)
     if K is not F:
         ann = [[c[sig] for c in y] for y in ann for sig in range(P.degree)]
     ech, _ = _rref(F, ann)

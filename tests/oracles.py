@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import eq, mul
 
 from conic_census import curve, gf, linsys, picard
-from conic_census.bundle import BinaryForm, bf_mul, point_form
+from conic_census.bundle import BinaryForm, bf_mul, fiber_lines, point_form
 from conic_census.errors import OutsideConvergenceRegion
 
 
@@ -134,6 +134,79 @@ def full_ann_rows(b, dp, A, P, level):
                 gens.append(row)
     ann = linsys._nullspace(F, gens, N)
     ech, _ = linsys._rref(F, ann)
+    return tuple(tuple(r) for r in ech)
+
+
+def global_ann_rows(b, dp, A, P, side, level):
+    """Rows over F, in rref, whose joint kernel in the layout of (dp, A) is
+    (component ideal)^level plus the conic multiples, from one nullspace in
+    all N = |monos|(A + 1) columns: the reference for `linsys._ann_rows`,
+    full fibers and lines alike.
+
+    A full fiber's ideal is (p_P), taken over F.  A line's is (p, L) at one
+    place of kappa(P), p that place's linear form and L the line, since p_P
+    itself would also pin the conjugate lines; its annihilator over kappa(P)
+    gives one row per coordinate of kappa(P) over F."""
+    F = b.field
+    monos = linsys._monos(b, dp)
+    N = len(monos) * (A + 1) if A >= 0 else 0
+    if N == 0:
+        return ()
+    if side == "full":
+        K = F
+        power = BinaryForm(0, (F.one,))
+        for _ in range(level):
+            power = bf_mul(F, power, point_form(F, P))
+        # (multiplier form, spots): a spot is the (monomial index, coefficient)
+        # list of the monomial part of one generator
+        terms = [(power, [((i, F.one),) for i in range(len(monos))])]
+    else:
+        line = fiber_lines(b, P)[0 if side == "E" else 1]
+        K = curve.residue_field(F, P)
+        if P.degree == 1:
+            pf = point_form(F, P)
+        else:
+            theta = curve.residue_of_poly(F, P, (F.zero, F.one))
+            pf = BinaryForm(1, (K.neg(theta), K.one))
+        powers = [BinaryForm(0, (K.one,))]
+        for _ in range(level):
+            powers.append(bf_mul(K, powers[-1], pf))
+        lvec = {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]}
+        lpow = [{(0, 0, 0): K.one}]
+        for _ in range(level):
+            nxt = {}
+            for mm, cm in lpow[-1].items():
+                for mv, cv in lvec.items():
+                    if cv == K.zero or cm == K.zero:
+                        continue
+                    MM = (mm[0] + mv[0], mm[1] + mv[1], mm[2] + mv[2])
+                    nxt[MM] = K.add(nxt.get(MM, K.zero), K.mul(cm, cv))
+            lpow.append(nxt)
+        midx = {mm: i for i, mm in enumerate(monos)}
+        # p^i L^(level - i) times every monomial of degree dp - (level - i)
+        terms = [(powers[i], [tuple((midx[(mc[0] + ml[0], mc[1] + ml[1], mc[2] + ml[2])], cl)
+                                    for ml, cl in lpow[level - i].items())
+                              for mc in linsys.monomial_basis(dp - level + i)])
+                 for i in range(level + 1)]
+    emb = (lambda c: c) if K is F else K.embed
+    zrows = linsys._z_source_rows(b, dp, A)
+    gens = [[emb(c) for c in r] for r in zrows]
+    for pi, spots in terms:
+        for spot in spots:
+            for tau in range(A - pi.degree + 1):
+                row = [K.zero] * N
+                for m, cl in spot:
+                    base = m * (A + 1) + tau
+                    for k, cf in enumerate(pi.coeffs):
+                        if cf != K.zero:
+                            row[base + k] = K.add(row[base + k], K.mul(cl, cf))
+                gens.append(row)
+    ann = linsys._nullspace(K, gens, N)
+    if K is not F:
+        ann = [[c[sig] for c in y] for y in ann for sig in range(P.degree)]
+    ech, _ = linsys._rref(F, ann)
+    if any(linsys._dot(F, r, z) != F.zero for r in ech for z in zrows):
+        raise AssertionError("conic multiples escaped the condition kernel")
     return tuple(tuple(r) for r in ech)
 
 

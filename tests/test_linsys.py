@@ -460,10 +460,10 @@ def b_f25_l2():
     return _over(F25, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2))
 
 
-def _dim_outcome(read, b, D):
+def _outcome(read, *args):
     try:
-        return read(b, D)
-    except (EmptySpace, OddDegreeUnsupported) as exc:
+        return read(*args)
+    except (EmptySpace, OddDegreeUnsupported, NotASplitFiber) as exc:
         return type(exc), str(exc)
 
 
@@ -486,9 +486,62 @@ def test_dim_from_ranks_matches_model_dim(make, degrees):
     if split:
         classes.append(NumClass.make(1, 0, {split[0]: -1}))  # stored unnormalized
     for D in classes:
-        want = _dim_outcome(lambda b, D: linsys._model(b, D).dim, b, D)
-        assert _dim_outcome(linsys._dim, b, D) == want, D
+        want = _outcome(lambda b, D: linsys._model(b, D).dim, b, D)
+        assert _outcome(linsys._dim, b, D) == want, D
 
+
+P_T2_1 = curve.point_from_poly(F3, (1, 0, 1))
+
+
+@pytest.mark.parametrize("make, components", [
+    (b_mixed, [(P_T1, "E"), (P_T1, "Ep"), (P_T, "E"), (P_INF, "full"), (P_T1, "full"),
+               (P_T2_1, "full")]),
+    (b_double, [(P_INF, "E"), (P_INF, "Ep"), (P_T2, "E"), (P_T2, "Ep"), (P_T2_1, "E"),
+                (P_T2_1, "Ep"), (P_T, "full"), (P_T2, "full"), (P_T2_1, "full")]),
+    (lambda: b_catalog_l1(F9), None), (b_f25_l2, None)],
+    ids=["F3-l1-mixed", "F3-l2-double", "F9-l1", "F25-l2"])
+def test_residue_rows_match_global_nullspace(make, components):
+    # `_ann_rows` eliminates modulo pi in |monos| deg pi columns; the oracle
+    # takes the nullspace of the conic multiples and every ideal generator
+    # in all N columns.  Both rrefs span one row space, so they are equal,
+    # and a line over a point that does not split is refused by both.  The
+    # F9 and F25 windows take one split line at a finite point, one at
+    # infinity and one full fiber; lines over t^2 + 1, whose oracle
+    # eliminates over F9, stop at dprime 2
+    b = make()
+    if components is None:
+        finite = next(P for P in b.split_points if not P.is_infinity)
+        components = [(finite, "E"), (curve.INFINITY, "Ep"), (finite, "full")]
+    checked = 0
+    for dp, A, (P, side), level in itertools.product(
+            range(5), range(-1, 7), components, (1, 2)):
+        if side != "full" and P.degree > 1 and dp > 2:
+            continue
+        want = _outcome(oracles.global_ann_rows, b, dp, A, P, side, level)
+        got = _outcome(linsys._ann_rows, b, dp, A, P, side, level)
+        assert got == want, (dp, A, P, side, level)
+        checked += 1
+    assert checked >= 60
+
+
+def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
+    # the elimination runs in |monos| deg pi columns whatever A is: 30 for
+    # dprime 4 (15 monomials) and deg pi 2, where the layout has 615 columns
+    seen = []
+    nullspace = linsys._nullspace
+
+    def recording(F, rows, n):
+        seen.append(n)
+        return nullspace(F, rows, n)
+
+    monkeypatch.setattr(linsys, "_nullspace", recording)
+    linsys._ann_rows.cache_clear()
+    b = b_mixed()
+    for P, side, level in ((P_T1, "E", 2), (P_INF, "full", 2), (P_T2_1, "full", 1)):
+        seen.clear()
+        rows = linsys._ann_rows(b, 4, 40, P, side, level)
+        assert rows and seen and all(0 < n <= 15 * 2 for n in seen), (P, side, seen)
+        assert all(len(r) == 15 * 41 for r in rows)
 
 @pytest.mark.parametrize("make, d, want", [(b_f25_l2, 2, 1), (b_mixed, 4, 1)],
                          ids=["F25-l2-d2", "F3-l1-mixed-d4"])

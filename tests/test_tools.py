@@ -1,0 +1,59 @@
+"""The BENCH file writer in tools/bench_pairs.py, on stand-in benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+# ambient wall_s at the parent in BENCH_13.json, whose quartiles were taken by hand
+PARENT_WALLS = [0.4294, 0.3949, 0.4201, 0.3966, 0.4018, 0.4312, 0.3839, 0.4129, 0.3851, 0.3863]
+
+
+def _doc(wall, correct=True):
+    metrics = {"ambient.wall_s": {"value": wall, "unit": "s"},
+               "ambient.peak_rss_mb": {"value": 22.5, "unit": "MB"}}
+    return {"correct": correct, "attempted": 2, "failed": 0, "metrics": metrics}
+
+
+def test_quartiles_match_the_hand_assembled_file():
+    assert bench_pairs.quartiles(PARENT_WALLS) == {"median": 0.3992, "q1": 0.3885, "q3": 0.4183}
+
+
+def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
+    calls = []
+    walls = {"parent": iter(PARENT_WALLS), "change": iter(w - 0.03 for w in PARENT_WALLS)}
+
+    def fake_bench(checkout, args):
+        side = Path(checkout).name
+        calls.append(side)
+        return _doc(next(walls[side]))
+
+    monkeypatch.setattr(bench_pairs, "bench", fake_bench)
+    monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: None)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    spec_doc = {"workloads": [{"name": "ambient"}],
+                "end_to_end": [{"name": "wall_s", "better": "lower"},
+                               {"name": "peak_rss_mb", "better": "lower"}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec_doc))
+    out = tmp_path / "BENCH_0.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--pairs", "10",
+                             "--stage", "a stage", "--out", str(out),
+                             "--claim", "ambient.wall_s"]) == 0
+    assert calls == ["parent", "change", "change", "parent"] * 5
+    doc = json.loads(out.read_text())
+    assert doc["stage_moved"] == "a stage"
+    e2e = doc["end_to_end"]
+    assert e2e["correct"] and e2e["failed"] == {"parent": 0, "change": 0}
+    wall = e2e["per_workload"]["ambient"]["wall_s"]
+    assert wall["parent"] == PARENT_WALLS
+    assert wall["parent_quartiles"]["median"] == 0.3992
+    assert wall["change_better"] == 10
+    assert e2e["per_workload"]["ambient"]["peak_rss_mb"]["change_better"] == 0
+    claim = doc["claim_ambient_wall_s"]
+    assert claim["change_wins"] == 10 and claim["pairs"] == 10
