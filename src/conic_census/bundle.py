@@ -8,20 +8,27 @@ point P is classified by evaluating the three coefficients in kappa(P).
 
 import enum
 import functools
-from dataclasses import dataclass
 
 from . import curve, gf
 from .errors import NonReducedFiber, NotASplitFiber, SingularTotalSpace
+from .value import Value
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    degree: int
-    coeffs: tuple
+class BinaryForm(Value):
+    __slots__ = _fields = ("degree", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
+    def __init__(self, degree, coeffs):
+        if len(coeffs) != degree + 1:
             raise ValueError("coefficient count must be degree + 1")
+        self._init(degree, coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.degree == other.degree and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.degree, self.coeffs))
 
 
 def bf_is_zero(F, form):
@@ -66,27 +73,37 @@ class FiberClass(enum.Enum):
     NONSPLIT_PAIR = "NonSplitPair"
 
 
-@dataclass(frozen=True)
-class SingularFiber:
-    point: curve.ClosedPoint
-    fiber_class: FiberClass
-    lines: tuple | None  # two kappa(P) coefficient vectors in (x,y,z), split fibers only
+class SingularFiber(Value):
+    # lines: two kappa(P) coefficient vectors in (x,y,z), split fibers only, else None
+    __slots__ = _fields = ("point", "fiber_class", "lines")
+
+    def __init__(self, point, fiber_class, lines):
+        self._init(point, fiber_class, lines)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.point == other.point and self.fiber_class == other.fiber_class
+                    and self.lines == other.lines)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.point, self.fiber_class, self.lines))
 
 
-@dataclass(frozen=True)
-class ConicBundle:
-    field: object
-    l: int
-    a: BinaryForm
-    b: BinaryForm
-    c: BinaryForm
-    singular: tuple
+class ConicBundle(Value):
+    _fields = ("field", "l", "a", "b", "c", "singular")
 
-    def __post_init__(self):
+    def __init__(self, field, l, a, b, c, singular):
+        self._init(field, l, a, b, c, singular)
         # every lru_cache in the package is keyed on the bundle, so hash its
         # fields, the singular catalog included, once
-        object.__setattr__(self, "_hash",
-                           hash((self.field, self.l, self.a, self.b, self.c, self.singular)))
+        object.__setattr__(self, "_hash", hash((field, l, a, b, c, singular)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.l, self.a, self.b, self.c, self.singular)
+                    == (other.field, other.l, other.a, other.b, other.c, other.singular))
+        return NotImplemented
 
     def __hash__(self):
         return self._hash

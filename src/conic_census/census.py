@@ -11,13 +11,13 @@ are rendered by integer square roots, never through binary floats.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import curve, linsys, picard
 from .bundle import FiberClass
 from .errors import BOutOfRange
+from .value import Value
 
 
 def _frac(x):
@@ -28,23 +28,19 @@ def _frac(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
-class SqrtQRational:
+class SqrtQRational(Value):
     """Exact value u + v*sqrt(q); collapses to a rational when q is square."""
 
-    u: Fraction
-    v: Fraction
-    q: int
+    __slots__ = _fields = ("u", "v", "q")
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __init__(self, u, v, q):
+        if q < 2:
             raise ValueError("q must be at least 2")
-        object.__setattr__(self, "u", _frac(self.u))
-        object.__setattr__(self, "v", _frac(self.v))
-        root = math.isqrt(self.q)
-        if root * root == self.q and self.v:
-            object.__setattr__(self, "u", self.u + self.v * root)
-            object.__setattr__(self, "v", Fraction(0))
+        u, v = _frac(u), _frac(v)
+        root = math.isqrt(q)
+        if root * root == q and v:
+            u, v = u + v * root, Fraction(0)
+        self._init(u, v, q)
 
     def _coerce(self, other):
         if isinstance(other, SqrtQRational):
@@ -300,22 +296,16 @@ def compare_table(b, cv, d, e_list, budget=None):
     return rows
 
 
-@dataclass(frozen=True)
-class NumberFieldInputs:
+class NumberFieldInputs(Value):
     """Invariants of a number field and a conic, taken as given numbers."""
 
-    r: int
-    s: int
-    disc_norm: int
-    class_number: int
-    regulator: float
-    roots_of_unity: int
-    zeta_at: float
-    vr: float
-    vc: float
-    hx: int
-    primes1: tuple
-    primes2: tuple
+    __slots__ = _fields = ("r", "s", "disc_norm", "class_number", "regulator", "roots_of_unity",
+                           "zeta_at", "vr", "vc", "hx", "primes1", "primes2")
+
+    def __init__(self, r, s, disc_norm, class_number, regulator, roots_of_unity,
+                 zeta_at, vr, vc, hx, primes1, primes2):
+        self._init(r, s, disc_norm, class_number, regulator, roots_of_unity,
+                   zeta_at, vr, vc, hx, primes1, primes2)
 
 
 def number_field_k(inputs, d):

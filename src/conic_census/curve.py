@@ -8,18 +8,27 @@ happens on P1.
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import gf
 from .errors import OutsideConvergenceRegion
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ClosedPoint:
-    poly: tuple | None
-    degree: int
+class ClosedPoint(Value):
+    __slots__ = _fields = ("poly", "degree")
+
+    def __init__(self, poly, degree):
+        self._init(poly, degree)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.poly == other.poly and self.degree == other.degree
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.poly, self.degree))
 
     @property
     def is_infinity(self):
@@ -116,19 +125,17 @@ def point_count(q, m):
     return total // m
 
 
-@dataclass(frozen=True)
-class CurveDescriptor:
-    genus: int
-    jacobian: int
-    l_poly: tuple
+class CurveDescriptor(Value):
+    __slots__ = _fields = ("genus", "jacobian", "l_poly")
 
-    def __post_init__(self):
-        if self.genus < 0 or self.jacobian < 1:
+    def __init__(self, genus, jacobian, l_poly):
+        if genus < 0 or jacobian < 1:
             raise ValueError("genus must be >= 0 and the Jacobian order positive")
-        if len(self.l_poly) != 2 * self.genus + 1 or self.l_poly[0] != 1:
+        if len(l_poly) != 2 * genus + 1 or l_poly[0] != 1:
             raise ValueError("L-polynomial needs constant term 1 and degree 2*genus")
-        if self.genus == 0 and (self.jacobian != 1 or tuple(self.l_poly) != (1,)):
+        if genus == 0 and (jacobian != 1 or tuple(l_poly) != (1,)):
             raise ValueError("genus 0 forces a trivial Jacobian and L-polynomial 1")
+        self._init(genus, jacobian, l_poly)
 
 
 P1_CURVE = CurveDescriptor(0, 1, (1,))
@@ -181,7 +188,8 @@ class EulerEnclosure:
     value involved is positive, so rounding each factor and each product down
     gives lo and rounding up gives hi.
     """
-    # a plain class: building a frozen dataclass costs about 1 ms per import
+    # a plain class, as are the package's value classes (value.Value): a dataclass
+    # costs an `inspect` import plus about 1 ms per class at every start-up
     __slots__ = ("q", "s", "counts", "bits", "lo", "hi")
 
     def __init__(self, q, s, counts, bits, lo, hi):

@@ -9,7 +9,7 @@ first.  Every field carries the row kernel of elimination, `sub_scaled`
 in one table row per scalar c.  Polynomials over any field are trimmed tuples
 of elements, constant term first; () is the zero polynomial.  Field objects
 carry the arithmetic and are hashable, so they can key caches and sit inside
-frozen dataclasses.
+the package's immutable value classes.
 """
 
 import itertools

@@ -40,7 +40,6 @@ divisors, so the irreducible counts follow from the fiber-free counts of the
 sub-classes by a recursion on the fiber degree; no member is built.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -49,6 +48,7 @@ from . import curve, picard
 from .bundle import BinaryForm, FiberClass, bf_mul, fiber_lines, point_form
 from .errors import (EmptySpace, EnumerationBudgetExceeded, NotASplitFiber,
                      OddDegreeUnsupported, ZeroSection)
+from .value import Value
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -355,17 +355,18 @@ def _line_rows_on_cols(b, dp, A, P, side, level):
 # --- sections ---
 
 
-@dataclass(frozen=True)
-class Section:
-    cls: picard.NumClass
-    ambient_coeffs: dict
+class Section(Value):
+    __slots__ = _fields = ("cls", "ambient_coeffs")
+
+    def __init__(self, cls, ambient_coeffs):
+        self._init(cls, ambient_coeffs)
 
 
-@dataclass(frozen=True)
-class SectionSpace:
-    cls: picard.NumClass
-    basis: tuple
-    dim: int
+class SectionSpace(Value):
+    __slots__ = _fields = ("cls", "basis", "dim")
+
+    def __init__(self, cls, basis, dim):
+        self._init(cls, basis, dim)
 
 
 def _coeff_dict(model, flat):
@@ -421,10 +422,11 @@ def component_multiplicity(b, s, P, side):
 # --- component sets and sieve proportions ---
 
 
-@dataclass(frozen=True)
-class ComponentSet:
-    elements: tuple
-    height: int
+class ComponentSet(Value):
+    __slots__ = _fields = ("elements", "height")
+
+    def __init__(self, elements, height):
+        self._init(elements, height)
 
 
 def component_set(b, items):

@@ -13,19 +13,20 @@ the hyperplane class has square zero and odd fiber degrees exist.
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curve
 from .bundle import FiberClass
 from .errors import BundleMismatch, NotASplitFiber, ParityViolation
+from .value import Value
 
 
-@dataclass(frozen=True)
-class NumClass:
-    dprime: object  # int or Fraction with denominator 2
-    a: int
-    parts: tuple = ()  # sorted tuple of (ClosedPoint, side 'E'|'Ep', coeff)
+class NumClass(Value):
+    _fields = ("dprime", "a", "parts")
+
+    def __init__(self, dprime, a, parts=()):
+        # dprime: int or half-integer Fraction; parts: sorted (ClosedPoint, 'E'|'Ep', coeff)
+        self._init(dprime, a, parts)
 
     @staticmethod
     def make(dprime, a, b=None, sides=None):

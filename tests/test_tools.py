@@ -13,10 +13,10 @@ spec.loader.exec_module(bench_pairs)
 PARENT_WALLS = [0.4294, 0.3949, 0.4201, 0.3966, 0.4018, 0.4312, 0.3839, 0.4129, 0.3851, 0.3863]
 
 
-def _doc(wall, correct=True):
+def _doc(wall, correct=True, failed=0):
     metrics = {"ambient.wall_s": {"value": wall, "unit": "s"},
                "ambient.peak_rss_mb": {"value": 22.5, "unit": "MB"}}
-    return {"correct": correct, "attempted": 2, "failed": 0, "metrics": metrics}
+    return {"correct": correct, "attempted": 2, "failed": failed, "metrics": metrics}
 
 
 def test_quartiles_match_the_hand_assembled_file():
@@ -29,7 +29,11 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
 
     def fake_bench(checkout, args):
         side = Path(checkout).name
-        calls.append(side)
+        seed = args[args.index("--seed") + 1]
+        calls.append((side, seed))
+        if seed == "5":
+            # the change fails one run at seed 5
+            return _doc(0.5, correct=side == "parent", failed=int(side == "change"))
         return _doc(next(walls[side]))
 
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
@@ -45,7 +49,8 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
                              "--change", str(tmp_path / "change"), "--pairs", "10",
                              "--stage", "a stage", "--out", str(out),
                              "--claim", "ambient.wall_s"]) == 0
-    assert calls == ["parent", "change", "change", "parent"] * 5
+    pairs = [("parent", "0"), ("change", "0"), ("change", "0"), ("parent", "0")] * 5
+    assert calls == pairs + [("parent", "5"), ("change", "5")]
     doc = json.loads(out.read_text())
     assert doc["stage_moved"] == "a stage"
     e2e = doc["end_to_end"]
@@ -57,3 +62,7 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
     assert e2e["per_workload"]["ambient"]["peak_rss_mb"]["change_better"] == 0
     claim = doc["claim_ambient_wall_s"]
     assert claim["change_wins"] == 10 and claim["pairs"] == 10
+    seed5 = doc["seed5"]
+    assert seed5["command"] == "python3 perfbench/run.py --workload all --seed 5"
+    assert seed5["correct"] is False and seed5["failed"] == {"parent": 0, "change": 1}
+    assert seed5["parent"] == seed5["change"] == {"ambient": {"wall_s": 0.5, "peak_rss_mb": 22.5}}

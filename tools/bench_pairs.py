@@ -12,6 +12,8 @@ file records the value of each run, the quartiles of each side (inclusive
 method) and in how many pairs the change was better.  `--claim` adds a claim
 block for one metric; `--trace W` runs workload W traced at seed 0 once per
 side, parent first, and records the per-layer metrics in TRACE_METRICS.
+Last, `--workload all --seed 5` runs once per side, parent first, and the
+`seed5` block records its end-to-end values, `correct` and `failed`.
 """
 
 import argparse
@@ -116,6 +118,20 @@ def traced(sides, workload):
     return out
 
 
+def seed5(sides, workloads, metrics):
+    """One run per side at seed 5, parent first: the check at a seed not used while building."""
+    cmd = ["--workload", "all", "--seed", "5"]
+    docs = {side: bench(sides[side], cmd) for side in ("parent", "change")}
+    out = {"command": "python3 perfbench/run.py " + " ".join(cmd),
+           "note": "one run per side, parent first, at a seed not used while building"}
+    for side, doc in docs.items():
+        out[side] = {wl: {m["name"]: round(doc["metrics"][f"{wl}.{m['name']}"]["value"], 4)
+                          for m in metrics} for wl in workloads}
+    out["correct"] = all(d["correct"] for d in docs.values())
+    out["failed"] = {side: d["failed"] for side, d in docs.items()}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -157,6 +173,7 @@ def main(argv=None):
     if ns.claim:
         direction = next(m["better"] for m in metrics if m["name"] == ns.claim.split(".", 1)[1])
         doc["claim_" + ns.claim.replace(".", "_")] = claim(block, ns.claim, direction)
+    doc["seed5"] = seed5(sides, workloads, metrics)
     Path(ns.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
