@@ -387,7 +387,6 @@ def test_main_zeta_closed_form_digit_limit(tmp_path, capsys, field, s, ok):
         f"beyond that the closed form has more than 4300 digits, the most Python "
         f"converts to a string (sys.get_int_max_str_digits())\n")
 
-
 def test_cli_import_leaves_mpmath_unloaded():
     # only the number-field analogue uses mpmath, and no CLI task reaches it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -402,7 +401,7 @@ def test_cli_run_imports_neither_dataclasses_nor_inspect():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     ruled = {"field": {"p": 3}, "bundle": {"l": 0, "a": [1], "b": [1], "c": [2]},
              "task": "compare", "params": {"d": 2, "e_list": [2, 3, 4, 5, 6, 7, 8]}}
-    code = ("import json, sys, conic_census.cli as cli\n"
+    code = ("import sys, conic_census.cli as cli\n"
             f"cli.run_report(cli.parse_config({json.dumps(json.dumps(ruled))}))\n"
             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
