@@ -80,15 +80,6 @@ class SingularFiber(Value):
     def __init__(self, point, fiber_class, lines):
         self._init(point, fiber_class, lines)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.point == other.point and self.fiber_class == other.fiber_class
-                    and self.lines == other.lines)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.point, self.fiber_class, self.lines))
-
 
 class ConicBundle(Value):
     _fields = ("field", "l", "a", "b", "c", "singular")

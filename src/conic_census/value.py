@@ -13,7 +13,9 @@ class Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # every subclass has two fields or more, so this reads them as a tuple
+        # with one field the getter would return that field, not a tuple
+        if len(cls._fields) < 2:
+            raise TypeError(f"{cls.__name__} needs two fields or more")
         cls._get = operator.attrgetter(*cls._fields)
 
     def _init(self, *values):

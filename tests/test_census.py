@@ -52,6 +52,7 @@ def test_sqrtq_arithmetic():
 def test_sqrtq_square_base_collapses():
     x = sqrtq(9, 2, 5)
     assert x.is_rational and x.u == 17 and x.as_fraction() == 17
+    assert hash(x) == hash(Fraction(17))
     assert sqrtq(4, 0, Fraction(1, 2)) == 1
 
 

@@ -17,6 +17,7 @@ from conic_census.census import NumberFieldInputs, SqrtQRational
 from conic_census.curve import ClosedPoint, CurveDescriptor
 from conic_census.linsys import ComponentSet, Section, SectionSpace
 from conic_census.picard import NumClass
+from conic_census.value import Value
 
 F3 = gf.make_field(3)
 P_T1 = ClosedPoint((1, 1), 1)
@@ -95,14 +96,6 @@ def test_num_class_defaults_and_canonical_form():
     assert E == same and hash(E) == hash(same)
 
 
-def test_bundle_split_points_are_cached():
-    b = bundle.validate_bundle(F3, 1, (0, 1), (1, 0), (1, 1))
-    assert b.split_points is b.split_points
-    assert b.split_points == tuple(f.point for f in b.singular
-                                   if f.fiber_class is FiberClass.SPLIT_PAIR)
-    assert hash(b) == hash(B_MIXED) and b == B_MIXED
-
-
 def test_reprs():
     assert repr(curve.INFINITY) == "ClosedPoint(poly=None, degree=1)"
     assert repr(P_T1) == "ClosedPoint(poly=(1, 1), degree=1)"
@@ -135,8 +128,7 @@ def test_checks_raise_their_messages():
         SqrtQRational(0.5, 0, 3)
 
 
-def test_sqrt_q_rational_collapses_on_square_q():
-    x = SqrtQRational(1, 1, 4)
-    assert (x.u, x.v) == (3, 0) and x.is_rational
-    assert x == 3 and hash(x) == hash(Fraction(3))
-    assert SqrtQRational(1, 1, 3) == SqrtQRational(u=1, v=1, q=3) != SqrtQRational(1, 1, 5)
+def test_one_field_class_is_refused():
+    with pytest.raises(TypeError, match="^One needs two fields or more$"):
+        class One(Value):
+            __slots__ = _fields = ("x",)
