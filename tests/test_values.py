@@ -17,7 +17,6 @@ from conic_census.census import NumberFieldInputs, SqrtQRational
 from conic_census.curve import ClosedPoint, CurveDescriptor
 from conic_census.linsys import ComponentSet, Section, SectionSpace
 from conic_census.picard import NumClass
-from conic_census.value import Value
 
 F3 = gf.make_field(3)
 P_T1 = ClosedPoint((1, 1), 1)
@@ -129,6 +128,7 @@ def test_checks_raise_their_messages():
 
 
 def test_one_field_class_is_refused():
+    from conic_census.value import Value
     with pytest.raises(TypeError, match="^One needs two fields or more$"):
         class One(Value):
             __slots__ = _fields = ("x",)
