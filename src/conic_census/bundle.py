@@ -132,24 +132,21 @@ def validate_bundle(F, l, a, b, c):
         for j in range(i + 1, 3):
             if gf.deg(gf.poly_gcd(F, affs[i], affs[j])) > 0 or (sords[i] > 0 and sords[j] > 0):
                 raise NonReducedFiber("two coefficient forms share a zero, the fiber there is a double line")
-    for aff, sord in zip(affs, sords):
-        if sord > 1 or (gf.deg(aff) > 0 and not gf.poly_squarefree(F, aff)):
-            raise SingularTotalSpace("a repeated zero of a coefficient form makes the total space singular")
-    singular = _singular_catalog(F, a, b, c)
-    return ConicBundle(F, l, a, b, c, singular)
+    facs = [gf.factor_poly(F, aff)[1] for aff in affs]
+    if any(sord > 1 or any(m > 1 for m in fac.values()) for sord, fac in zip(sords, facs)):
+        raise SingularTotalSpace("a repeated zero of a coefficient form makes the total space singular")
+    return ConicBundle(F, l, a, b, c, _singular_catalog(F, forms, sords, facs))
 
 
-def _singular_catalog(F, a, b, c):
+def _singular_catalog(F, forms, sords, facs):
+    """The singular fibers over the zeros of each form: infinity where its
+    s-order is 1, and the monic irreducible factors of its affine part."""
     fibers = []
-    for idx, form in enumerate((a, b, c)):
-        aff = gf.poly_trim(F, form.coeffs)
-        if bf_s_order(F, form) == 1:
-            fibers.append(_classify_at(F, (a, b, c), idx, curve.INFINITY))
-        if gf.deg(aff) > 0:
-            _, fac = gf.factor_poly(F, aff)
-            for g in fac:
-                P = curve.ClosedPoint(g, gf.deg(g))
-                fibers.append(_classify_at(F, (a, b, c), idx, P))
+    for idx, (sord, fac) in enumerate(zip(sords, facs)):
+        if sord == 1:
+            fibers.append(_classify_at(F, forms, idx, curve.INFINITY))
+        for g in fac:
+            fibers.append(_classify_at(F, forms, idx, curve.ClosedPoint(g, gf.deg(g))))
     fibers.sort(key=lambda f: curve.point_sort_key(F, f.point))
     return tuple(fibers)
 

@@ -466,8 +466,3 @@ def _factor_monic(F, f, out, mult):
     for h in _ddf_edf(F, sqf):
         out[h] = out.get(h, 0) + mult
     _factor_monic(F, g, out, mult)
-
-
-def poly_squarefree(F, f):
-    _, fac = factor_poly(F, f)
-    return all(m == 1 for m in fac.values())

@@ -1,11 +1,11 @@
 """Section spaces on a conic bundle, component valuations, and exact counts.
 
-Every class has one model, built by one builder (`_model`).  A class D with
-dprime >= 0 is modelled by the forms in the monomials of its layout whose
-coefficients are binary forms of degree A = a + sum of b_P deg P over the
-stored components, taken modulo the conic multiples; each stored component
-imposes vanishing conditions on the opposite line over its split point.
-Two functions fix the layout: `_monos` and `_z_source_rows`.  On l >= 1 the
+One function turns a class into its model data (`_layout`), read from its
+canonical coordinates.  A class D with dprime >= 0 is modelled by the forms in
+the monomials of its layout whose coefficients are binary forms of degree
+A = a + sum of c_P deg P over the c_P > 0, taken modulo the conic multiples;
+each c_P != 0 asks order |c_P| along E'_P if c_P > 0, along E_P if c_P < 0.
+Two functions fix the coordinates: `_monos` and `_z_source_rows`.  On l >= 1 the
 monomials are those of integer degree dprime in (x, y, z).  On l = 0 the
 conic factor is a smooth plane conic, so O(D) matches the bidegree (d, e/2)
 forms on a product of two projective lines: the monomials are (d - i, i),
@@ -24,8 +24,8 @@ place's linear form to the k-th over kappa(P) for a line, and eliminates in
 containment rows and multiplicities all read it.
 
 Dims, component pools and proportions read ranks from one echelon of a
-class's condition rows (`_conditions`), empty on l = 0; bases are built only
-for sections and multiplicities.
+class's condition rows (`_conditions`), empty on l = 0; only `section_space`
+builds a basis (`_basis`).
 
 Fiber-free members are counted from section-space dims alone: a sieve over
 the vertical prime divisors, E_P and E'_P over each split point and F_P over
@@ -42,7 +42,7 @@ sub-classes by a recursion on the fiber degree; no member is built.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 
 from . import curve, picard
 from .bundle import BinaryForm, FiberClass, bf_mul, fiber_lines, point_form
@@ -152,12 +152,6 @@ def _z_source_rows(b, dp, A):
     return tuple(rows)
 
 
-class _Model:
-    """Frozen computational model of one normalized class."""
-
-    __slots__ = ("cls", "dp", "A", "monos", "N", "basis", "dim")
-
-
 def _monos(b, dp):
     """The monomials of a class's layout: (2dp - i, i) on the ruled l = 0
     layout, where dp may be a half-integer, else `monomial_basis(dp)`."""
@@ -166,49 +160,41 @@ def _monos(b, dp):
     return tuple((int(2 * dp) - i, i) for i in range(int(2 * dp) + 1))
 
 
-def _coeff_degree(D):
-    """A = a + sum of b_P deg P over the stored components: the degree of a
-    class's coefficient forms."""
-    return D.a + sum(c * P.degree for P, _, c in D.parts)
-
-
-def _checked(b, D):
-    """Normalize a class, refusing those with no model: half-integer dprime on
-    l >= 1 and dprime < 0."""
-    D = picard.normalize(b, D)
-    if b.l != 0 and isinstance(D.dprime, Fraction):
+def _layout(b, D):
+    """(dp, A, lines) of a class, read from `D.canonical()`: A and the lines
+    (P, side, order) are as the module docstring states.  It is the one place
+    that refuses a class with no model: a coefficient over a point that does
+    not split, half-integer dprime on l >= 1, and dprime < 0."""
+    dp, a, parts = D.canonical()
+    for P, _ in parts:
+        fiber_lines(b, P)  # raises NotASplitFiber where P does not split
+    if b.l != 0 and isinstance(dp, Fraction):
         raise OddDegreeUnsupported(
             "half-integer fiber degree needs the ruled model, available only for l = 0")
-    if D.dprime < 0:
-        raise EmptySpace(f"no sections for fiber half-degree {D.dprime} < 0")
-    return D
+    if dp < 0:
+        raise EmptySpace(f"no sections for fiber half-degree {dp} < 0")
+    A = a + sum(c * P.degree for P, c in parts if c > 0)
+    return dp, A, tuple((P, "Ep" if c > 0 else "E", abs(c)) for P, c in parts)
 
 
-@lru_cache(maxsize=None)
-def _model(b, D):
-    """The cached model of a class, normalized first: the kernel of
-    `_conditions`, zero at the conic multiples' pivots, in rref."""
-    D = _checked(b, D)
+def _basis(b, D):
+    """The sections of O(D) in rref on the flat layout of (dp, A): the kernel of
+    `_conditions`, zero at the conic multiples' pivots."""
     F = b.field
-    m = _Model()
-    m.cls, m.dp, m.A = D, D.dprime, _coeff_degree(D)
-    m.monos = _monos(b, m.dp)
-    m.N = len(m.monos) * (m.A + 1) if m.A >= 0 else 0
+    dp, A, _ = _layout(b, D)
     cols, ech, _ = _conditions(b, D)
     at = {j: i for i, j in enumerate(cols)}
-    kernel = [[v[at[j]] if j in at else F.zero for j in range(m.N)]
+    N = len(_monos(b, dp)) * (A + 1)  # negative, so no column, when A < 0
+    kernel = [[v[at[j]] if j in at else F.zero for j in range(N)]
               for v in _nullspace(F, ech, len(cols))]
-    m.basis = tuple(tuple(r) for r in _rref(F, kernel)[0])
-    m.dim = len(m.basis)
-    return m
+    return _rref(F, kernel)[0]
 
 
 @lru_cache(maxsize=None)
 def _dim(b, D):
-    """`_model(b, D).dim`, read from ranks without building a basis: the
+    """The dim of H^0(D), read from ranks without building a basis: the
     columns of `_conditions` less its rank, so on l = 0 every column.  Raises
-    where `_model` raises.  It is the one memo of dims."""
-    D = _checked(b, D)
+    where `_layout` raises.  It is the one memo of dims."""
     cols, ech, _ = _conditions(b, D)
     return len(cols) - len(ech)
 
@@ -217,25 +203,30 @@ def _dim(b, D):
 def _cols(b, dp, A):
     """The columns off the pivots of the conic multiples for (dp, A): they
     coordinatize forms modulo the conic multiples, and a row that kills the
-    conic multiples is fixed by its entries there."""
-    pivots = set(_rref(b.field, _z_source_rows(b, dp, A))[1])
-    return tuple(j for j in range(len(_monos(b, dp)) * (A + 1)) if j not in pivots)
+    conic multiples is fixed by its entries there.
+
+    The generator conic * m * t^tau leads in the block of x^2 m, the first of
+    its monomials in graded lex, at column tau + ord_t(a).  These leading
+    columns differ, so they are the pivots of the rref: no elimination is
+    needed."""
+    zrows = _z_source_rows(b, dp, A)
+    leads = {next(compress(count(), z)) for z in zrows}  # F's zero is 0
+    if len(leads) != len(zrows):
+        raise AssertionError("two conic multiples lead at one column")
+    return tuple(j for j in range(len(_monos(b, dp)) * (A + 1)) if j not in leads)
 
 
 def _conditions(b, D):
-    """(cols, ech, piv): the condition rows of a normalized class, restricted
-    to `_cols`, in one semi-echelon basis (`_append_row`); none on l = 0.
-    H^0(D) is their kernel there, so its dim is len(cols) - len(ech)."""
-    A = _coeff_degree(D)
+    """(cols, ech, piv): the condition rows of a class, one block per line of
+    its `_layout`, restricted to `_cols`, in one semi-echelon basis
+    (`_append_row`); none on l = 0.  H^0(D) is their kernel there, so its dim
+    is len(cols) - len(ech)."""
+    dp, A, lines = _layout(b, D)
     ech, piv = [], []
-    for P, side, c in D.parts:
-        for row in _line_rows_on_cols(b, D.dprime, A, P, _other_side(side), c):
+    for P, side, c in lines:
+        for row in _line_rows_on_cols(b, dp, A, P, side, c):
             _append_row(b.field, ech, piv, row)
-    return _cols(b, D.dprime, A), ech, piv
-
-
-def _other_side(side):
-    return "Ep" if side == "E" else "E"
+    return _cols(b, dp, A), ech, piv
 
 
 # --- vanishing rows over residue fields ---
@@ -369,32 +360,15 @@ class SectionSpace(Value):
         self._init(cls, basis, dim)
 
 
-def _coeff_dict(model, flat):
-    width = model.A + 1
-    return {mm: BinaryForm(model.A, tuple(flat[i * width:(i + 1) * width]))
-            for i, mm in enumerate(model.monos)}
-
-
-def _flat_of_section(b, model, s):
-    F = b.field
-    width = model.A + 1
-    midx = {mm: i for i, mm in enumerate(model.monos)}
-    flat = [F.zero] * model.N
-    for mm, form in s.ambient_coeffs.items():
-        if mm not in midx or form.degree != model.A:
-            raise ValueError(f"a coefficient at {mm} of degree {form.degree} is outside "
-                             f"the layout of monomials {model.monos} in degree {model.A}")
-        base = midx[mm] * width
-        for k, c in enumerate(form.coeffs):
-            flat[base + k] = c
-    return flat
-
-
 def section_space(b, D):
     """Basis of the sections of O(D) as canonical ambient representatives."""
-    model = _model(b, D)
-    sections = tuple(Section(model.cls, _coeff_dict(model, v)) for v in model.basis)
-    return SectionSpace(model.cls, sections, model.dim)
+    D = picard.normalize(b, D)
+    dp, A, _ = _layout(b, D)
+    monos = _monos(b, dp)
+    sections = tuple(Section(D, {m: BinaryForm(A, tuple(v[i * (A + 1):(i + 1) * (A + 1)]))
+                                 for i, m in enumerate(monos)})
+                     for v in _basis(b, D))
+    return SectionSpace(D, sections, len(sections))
 
 
 # --- component multiplicities ---
@@ -402,18 +376,24 @@ def section_space(b, D):
 
 def component_multiplicity(b, s, P, side):
     """Largest power of the named component ideal containing the section."""
-    model = _model(b, s.cls)
     F = b.field
-    flat = _flat_of_section(b, model, s)
+    dp, A, _ = _layout(b, s.cls)
+    monos = _monos(b, dp)
+    midx = {m: i for i, m in enumerate(monos)}
+    flat = [F.zero] * (len(monos) * (A + 1))
+    for m, form in s.ambient_coeffs.items():
+        if m not in midx or form.degree != A:
+            raise ValueError(f"a coefficient at {m} of degree {form.degree} is outside "
+                             f"the layout of monomials {monos} in degree {A}")
+        flat[midx[m] * (A + 1):(midx[m] + 1) * (A + 1)] = form.coeffs
     # a multiple of the conic is the zero section on X
-    zrows = _z_source_rows(b, model.dp, model.A)
+    zrows = _z_source_rows(b, dp, A)
     if all(c == F.zero for c in _reduce_vec(F, *_rref(F, zrows), flat)):
         raise ZeroSection("the zero section has no divisor")
-    guard = model.dp + model.A + 2
+    guard = dp + A + 2
     k = 0
     while k <= guard:
-        if any(_dot(F, r, flat) != F.zero
-               for r in _ann_rows(b, model.dp, model.A, P, side, k + 1)):
+        if any(_dot(F, r, flat) != F.zero for r in _ann_rows(b, dp, A, P, side, k + 1)):
             return k
         k += 1
     raise AssertionError("valuation loop failed to terminate")
@@ -456,22 +436,16 @@ def component_set(b, items):
     return ComponentSet(tuple(elems), height)
 
 
-def _forced_level(D, P, line_side):
-    """Baseline valuation the space already forces on a line over P."""
-    for Q, side, c in D.parts:
-        if Q == P and _other_side(side) == line_side:
-            return c
-    return 0
-
-
 def _containment_rows(b, D, P, side):
     """Flat rows expressing that the member divisor contains the component; a
-    full fiber over a split point is both its lines."""
-    dp, A = D.dprime, _coeff_degree(D)
+    full fiber over a split point is both its lines, and a line asks one order
+    above the one the class's `_layout` already forces there."""
+    dp, A, lines = _layout(b, D)
     if side == "full" and P not in b.split_points:
         return _ann_rows(b, dp, A, P, "full", 1)
+    forced = {(Q, ls): c for Q, ls, c in lines}
     return [row for ls in (("E", "Ep") if side == "full" else (side,))
-            for row in _ann_rows(b, dp, A, P, ls, _forced_level(D, P, ls) + 1)]
+            for row in _ann_rows(b, dp, A, P, ls, forced.get((P, ls), 0) + 1)]
 
 
 def _on_coords(b, D, blocks):
@@ -490,22 +464,20 @@ def _on_coords(b, D, blocks):
 
 def proportion_exact(b, D, S):
     """Share of sections whose member divisor contains every component of S."""
-    Dn = _checked(b, D)
-    rows = [row for P, side in S.elements for row in _containment_rows(b, Dn, P, side)]
-    return Fraction(1, b.field.order ** len(_on_coords(b, Dn, [rows])[0]))
+    rows = [row for P, side in S.elements for row in _containment_rows(b, D, P, side)]
+    return Fraction(1, b.field.order ** len(_on_coords(b, D, [rows])[0]))
 
 
 def proportion_product(b, D, S):
     """Independence heuristic for the same event, one exponent per component."""
-    Dn = picard.normalize(b, D)
-    d, _ = picard.type_of(b, Dn)
+    d, _ = picard.type_of(b, D)
     expo = 0
     for P, side in S.elements:
         if side == "full":
             singular = b.singular_fiber_at(P) is not None
             expo += P.degree * ((d + 2) if singular else (d + 1))
         else:
-            dP = picard.intersect(b, Dn, picard.component_class(P, side)) // P.degree
+            dP = picard.intersect(b, D, picard.component_class(P, side)) // P.degree
             expo += P.degree * (dP + 1)
     return Fraction(1, b.field.order ** expo)
 
@@ -640,7 +612,7 @@ def _sieve(b, D):
 
 @lru_cache(maxsize=None)
 def _fiberfree(b, D):
-    """Fiber-free count of a normalized class: the sieve over dims (`_sieve`),
+    """Fiber-free count of a class: the sieve over dims (`_sieve`),
     or on l >= 1 with dprime >= 2 the subset sum over the component pool.
 
     The pool stays there because its containment rows and the model dims
@@ -656,13 +628,12 @@ def fiberfree_count(b, D, budget=None):
     `_fiberfree` (the sieve over dims; the subset sum over the component pool
     on l >= 1 with dprime >= 2) once the q^dim budget admits the class."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    Dn = picard.normalize(b, D)
     try:
-        dim = _dim(b, Dn)
+        dim = _dim(b, D)
     except EmptySpace:
         return 0  # dprime < 0: no sections, so no members
     _check_budget(b.field.order, dim, budget)
-    return _fiberfree(b, Dn)
+    return _fiberfree(b, D)
 
 
 # --- irreducible counts by unique factorization ---
@@ -671,7 +642,6 @@ def fiberfree_count(b, D, budget=None):
 def _admitted_count(b, D):
     """`fiberfree_count` of a class that `prime_count` has admitted: the budget
     is not charged again."""
-    D = picard.normalize(b, D)
     return 0 if D.dprime < 0 else _fiberfree(b, D)
 
 
@@ -758,17 +728,15 @@ def prime_count(b, d, e, budget=None):
 # --- empirical dimension threshold ---
 
 
-def scan_dimension_threshold(b, cv, d, e_lo=None, e_hi=None):
+def scan_dimension_threshold(b, cv, d):
     """Least height above which every class of fiber degree d has dim equal to chi.
 
-    Scans heights downward through the window, finds the largest height with a
-    failing class, and returns the next height at which classes exist; returns
-    the window floor when the dimension law holds everywhere in the window.
+    Scans heights downward through the window -(2d + 4) <= e <= floor(dl/2) +
+    2d + 8, finds the largest height with a failing class, and returns the
+    next height at which classes exist; returns the window floor when the
+    dimension law holds everywhere in the window.
     """
-    if e_lo is None:
-        e_lo = -(2 * d + 4)
-    if e_hi is None:
-        e_hi = (d * b.l) // 2 + 2 * d + 8
+    e_lo, e_hi = -(2 * d + 4), (d * b.l) // 2 + 2 * d + 8
     fail_at = None
     for e in range(e_hi, e_lo - 1, -1):
         for D in picard.classes_of_type(b, d, e):

@@ -83,16 +83,20 @@ def z_source_rows(b, dp, A):
 
 
 def ambient_basis(b, D):
-    """Basis of the ambient model of a normalized class, built the long way: the
-    joint kernel of all its condition rows in the full ambient space of forms
-    in (x, y, z), each kernel vector reduced by the rref of the conic
-    multiples, then rref.  On l = 0 it is the plane model of the class."""
+    """Basis of the ambient model of a class, built the long way: the joint
+    kernel of all its condition rows in the full ambient space of forms in
+    (x, y, z), each kernel vector reduced by the rref of the conic multiples,
+    then rref.  On l = 0 it is the plane model of the class.  The layout is
+    read from the normalized stored form, not from `linsys._layout`: A is a
+    plus every stored c deg P, and a stored component conditions the opposite
+    line over its point."""
     F = b.field
-    A = linsys._coeff_degree(D)
+    D = picard.normalize(b, D)
+    A = D.a + sum(c * P.degree for P, _, c in D.parts)
     N = len(linsys.monomial_basis(D.dprime)) * (A + 1) if A >= 0 else 0
     zech, zpiv = linsys._rref(F, z_source_rows(b, D.dprime, A))
     cond = [row for P, side, c in D.parts
-            for row in linsys._ann_rows(b, D.dprime, A, P, linsys._other_side(side), c)]
+            for row in linsys._ann_rows(b, D.dprime, A, P, "Ep" if side == "E" else "E", c)]
     kernel = linsys._nullspace(F, cond, N)
     basis, _ = linsys._rref(F, [linsys._reduce_vec(F, zech, zpiv, v) for v in kernel])
     return tuple(tuple(r) for r in basis)

@@ -208,7 +208,7 @@ def test_ambient_and_ruled_models_agree_in_dim_on_l0(F):
     for d, e in itertools.product((0, 2, 4), range(-6, 9)):
         for D in picard.classes_of_type(b0, d, e):
             D = picard.normalize(b0, D)
-            assert len(oracles.ambient_basis(b0, D)) == linsys._model(b0, D).dim, (d, e)
+            assert len(oracles.ambient_basis(b0, D)) == linsys.section_space(b0, D).dim, (d, e)
             checked += 1
     assert checked >= 20
 
@@ -303,14 +303,15 @@ def test_prime_d4_division_path_regression():
     assert linsys.prime_count(b_catalog_l1(gf.make_field(7)), 4, 2) == 17283
 
 
-def _member_flats(F, model):
-    """(coords, flat) of every member of a model, one per scalar class (leading
-    coordinate 1), the flat built from the basis with field operations only."""
-    for coords in itertools.product(list(F.elements()), repeat=model.dim):
+def _member_flats(F, basis):
+    """(coords, flat) of every member of a basis (`linsys._basis`), one per
+    scalar class (leading coordinate 1), the flat built from the basis with
+    field operations only."""
+    for coords in itertools.product(list(F.elements()), repeat=len(basis)):
         if next((x for x in coords if x != F.zero), None) != F.one:
             continue
-        flat = [F.zero] * model.N
-        for x, v in zip(coords, model.basis):
+        flat = [F.zero] * len(basis[0])
+        for x, v in zip(coords, basis):
             flat = [F.add(y, F.mul(x, cv)) for y, cv in zip(flat, v)]
         yield coords, flat
 
@@ -318,11 +319,10 @@ def _member_flats(F, model):
 def _ruled_members(b, D):
     """Fiber-free members of a ruled class by the gcd reference, as dicts
     {(i, t): c} for the coefficient of x0^(delta - i) x1^i t^t."""
-    model = linsys._model(b, D)
-    width = model.A + 1
-    return [{divmod(k, width): c for k, c in enumerate(flat) if c != b.field.zero}
-            for _, flat in _member_flats(b.field, model)
-            if _gcd_fiber_free(b, D, model, flat)]
+    _, A, _ = linsys._layout(b, D)
+    return [{divmod(k, A + 1): c for k, c in enumerate(flat) if c != b.field.zero}
+            for _, flat in _member_flats(b.field, linsys._basis(b, D))
+            if _gcd_fiber_free(b, D, flat)]
 
 
 def _ruled_product_key(F, f1, f2):
@@ -413,14 +413,14 @@ def test_extension_field_fiberfree_counts_frozen():
         b = b_catalog_l1(F)
         counts = Counter()
         for D in picard.classes_of_type(b, 2, e):
-            model = linsys._model(b, D)
-            if model.dim > max_dim:
+            basis = linsys._basis(b, D)
+            if len(basis) > max_dim:
                 continue
             n = linsys.fiberfree_count(b, D)
-            pool = linsys._component_pool(b, model.cls)
-            at = _pool_columns(b, model.cls, model)
+            pool = linsys._component_pool(b, D)
+            at = _pool_columns(b, D)
             assert n == sum(_pool_fiber_free(F, pool, [flat[c] for c in at])
-                            for _, flat in _member_flats(F, model)), D
+                            for _, flat in _member_flats(F, basis)), D
             counts[n] += 1
         return counts
 
@@ -430,13 +430,16 @@ def test_extension_field_fiberfree_counts_frozen():
     assert census(F27, 1, 3) == {755: 1}
 
 
-def _gcd_fiber_free(b, D, model, flat):
+def _gcd_fiber_free(b, D, flat):
     """Reference fiber test for dp <= 1 classes, on a flat vector: coefficient
     forms of full degree with no common factor (no full fiber contained), and
-    no split line contained beyond the class's forced level."""
+    no split line contained beyond the order the class's layout forces."""
     F = b.field
-    width = model.A + 1
-    forms = [gf.poly_trim(F, flat[m * width:(m + 1) * width]) for m in range(len(model.monos))]
+    dp, A, lines = linsys._layout(b, D)
+    forced = {(P, side): c for P, side, c in lines}
+    width = A + 1
+    forms = [gf.poly_trim(F, flat[m * width:(m + 1) * width])
+             for m in range(len(linsys._monos(b, dp)))]
     forms = [f for f in forms if f]
     if max(len(f) for f in forms) != width:
         return False
@@ -447,18 +450,15 @@ def _gcd_fiber_free(b, D, model, flat):
         return False
     for P in b.split_points:
         for side in ("E", "Ep"):
-            rows = linsys._ann_rows(b, model.dp, model.A, P, side,
-                                    linsys._forced_level(D, P, side) + 1)
+            rows = linsys._ann_rows(b, dp, A, P, side, forced.get((P, side), 0) + 1)
             if all(linsys._dot(F, r, flat) == F.zero for r in rows):
                 return False
     return True
 
 
-def _pool_columns(b, D, model):
+def _pool_columns(b, D):
     """The flat columns that are a member's coordinates for the component pool
-    of its class: on l >= 1 `_cols` less the condition pivots, on l = 0 all."""
-    if b.l == 0:
-        return range(model.N)
+    of its class: `_cols` less the condition pivots, so on l = 0 all."""
     cols, _, piv = linsys._conditions(b, D)
     return [c for j, c in enumerate(cols) if j not in piv]
 
@@ -517,16 +517,15 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
     checked = 0
     for d, e in itertools.product((0, 1, 2), range(-1, e_max + 1)):
         for D in picard.classes_of_type(bnd, d, e):
-            model = linsys._model(bnd, D)
-            n = model.dim
+            basis = linsys._basis(bnd, D)
+            n = len(basis)
             if n == 0 or F.order ** n > 3 ** 8:
                 continue
-            D = model.cls
             pool = linsys._component_pool(bnd, D)
-            at = _pool_columns(bnd, D, model)
+            at = _pool_columns(bnd, D)
             free = set()
-            for coords, flat in _member_flats(F, model):
-                by_gcd = _gcd_fiber_free(bnd, D, model, flat)
+            for coords, flat in _member_flats(F, basis):
+                by_gcd = _gcd_fiber_free(bnd, D, flat)
                 assert by_gcd == _pool_fiber_free(F, pool, [flat[c] for c in at]), (D, coords)
                 if by_gcd:
                     free.add(tuple(flat))

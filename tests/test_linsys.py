@@ -147,6 +147,12 @@ def test_component_multiplicity_rejects_zero_and_nonsplit_sides():
     with pytest.raises(NotASplitFiber):
         linsys.component_multiplicity(
             b1, Section(class_at(1, 0), {(0, 0, 1): BinaryForm(0, (1,))}), P_T, "E")
+    # a class with a coefficient over t, which does not split, is refused
+    # whatever the sign of the coefficient and the degree A of its forms
+    for D in (class_at(1, -5, {P_T: 1}), class_at(1, 0, {P_T: 1}), class_at(1, -5, {P_T: -1})):
+        for read in (linsys._dim, linsys.fiberfree_count):
+            with pytest.raises(NotASplitFiber, match="no split fiber at t"):
+                read(b1, D)
 
 
 def test_component_multiplicity_refuses_a_multiple_of_the_conic():
@@ -374,16 +380,18 @@ def test_proportion_on_an_empty_ruled_class_is_one_at_every_point():
         assert linsys.proportion_exact(b0, D, component_set(b0, [(P, "full")])) == 1
 
 
-def _divisible_section(b, model, rng, P, k):
+def _divisible_section(b, D, rng, P, k):
     """A section of the ruled model whose coefficient forms are random
     multiples of p_P^k, so its full-fiber valuation at P is at least k."""
     F = b.field
+    dp, A, _ = linsys._layout(b, D)
     power = BinaryForm(0, (F.one,))
     for _ in range(k):
         power = bundle.bf_mul(F, power, bundle.point_form(F, P))
-    rest = model.A - power.degree
-    return Section(model.cls, {m: bundle.bf_mul(F, power, BinaryForm(
-        rest, tuple(rng.randrange(F.order) for _ in range(rest + 1)))) for m in model.monos})
+    rest = A - power.degree
+    return Section(D, {m: bundle.bf_mul(F, power, BinaryForm(
+        rest, tuple(rng.randrange(F.order) for _ in range(rest + 1))))
+                       for m in linsys._monos(b, dp)})
 
 
 def test_one_builder_matches_the_old_constructions():
@@ -396,8 +404,7 @@ def test_one_builder_matches_the_old_constructions():
     for b in (b_mixed(), b_double()):
         for d, e in itertools.product((0, 2, 4), range(-2, 5)):
             for D in picard.classes_of_type(b, d, e):
-                D = picard.normalize(b, D)
-                A = linsys._coeff_degree(D)
+                _, A, _ = linsys._layout(b, D)
                 for P, level in itertools.product(points, (1, 2)):
                     assert (linsys._ann_rows(b, D.dprime, A, P, "full", level)
                             == oracles.full_ann_rows(b, D.dprime, A, P, level)), (D, P, level)
@@ -411,13 +418,13 @@ def test_one_builder_matches_the_old_constructions():
                 want = linsys._rref(F3, oracles.param_full_rows(b0, D, P))[0]
                 assert linsys._ann_rows(b0, D.dprime, D.a, P, "full", 1) == tuple(map(tuple, want))
                 checked += 1
-            model = linsys._model(b0, D)
-            if model.dim == 0:
+            _, A, _ = linsys._layout(b0, D)
+            if section_space(b0, D).dim == 0:
                 continue
             for P, k in itertools.product(points, range(3)):
-                if k * P.degree > model.A:
+                if k * P.degree > A:
                     continue
-                s = _divisible_section(b0, model, rng, P, k)
+                s = _divisible_section(b0, D, rng, P, k)
                 forms = [f for f in s.ambient_coeffs.values() if any(f.coeffs)]
                 if forms:
                     want = min(oracles.binary_val(F3, f, P) for f in forms)
@@ -486,7 +493,7 @@ def test_dim_from_ranks_matches_model_dim(make, degrees):
     if split:
         classes.append(NumClass.make(1, 0, {split[0]: -1}))  # stored unnormalized
     for D in classes:
-        want = _outcome(lambda b, D: linsys._model(b, D).dim, b, D)
+        want = _outcome(lambda b, D: section_space(b, D).dim, b, D)
         assert _outcome(linsys._dim, b, D) == want, D
 
 
@@ -524,6 +531,31 @@ def test_residue_rows_match_global_nullspace(make, components):
     assert checked >= 60
 
 
+@pytest.mark.parametrize("make", [b_mixed, b_double, lambda: b_catalog_l1(F5),
+                                  lambda: b_catalog_l1(F9), b_trivial],
+                         ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F3-l0-trivial"])
+def test_cols_are_the_columns_off_the_conic_multiples_rref_pivots(make):
+    # `_cols` reads the pivots from the generators' leading columns; the
+    # oracle echelonizes the conic multiples in all N columns
+    b = make()
+    checked = 0
+    for dp, A in itertools.product(range(7), range(-2, 17)):
+        if b.l == 0:
+            dp = Fraction(dp, 2)
+        N = len(linsys._monos(b, dp)) * (A + 1)
+        pivots = set(linsys._rref(b.field, linsys._z_source_rows(b, dp, A))[1])
+        assert linsys._cols(b, dp, A) == tuple(j for j in range(N) if j not in pivots), (dp, A)
+        checked += bool(pivots)
+    assert checked >= (30 if b.l else 0)
+
+
+def test_cols_refuses_conic_multiples_with_one_leading_column(monkeypatch):
+    row = (0, 1, 2, 0)
+    monkeypatch.setattr(linsys, "_z_source_rows", lambda b, dp, A: (row, row))
+    with pytest.raises(AssertionError, match="lead at one column"):
+        linsys._cols.__wrapped__(b_mixed(), 2, 1)
+
+
 def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
     # the elimination runs in |monos| deg pi columns whatever A is: 30 for
     # dprime 4 (15 monomials) and deg pi 2, where the layout has 615 columns
@@ -547,9 +579,9 @@ def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
                          ids=["F25-l2-d2", "F3-l1-mixed-d4"])
 def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
     def refuse(b, D):
-        raise AssertionError("the threshold scan built a model")
+        raise AssertionError("the threshold scan built a basis")
 
-    monkeypatch.setattr(linsys, "_model", refuse)
+    monkeypatch.setattr(linsys, "_basis", refuse)
     assert linsys.scan_dimension_threshold(make(), curve.P1_CURVE, d) == want
 
 
@@ -567,7 +599,7 @@ def test_ambient_basis_matches_full_kernel_oracle(make):
         for e in range(-4, 9):
             for D in picard.classes_of_type(b, d, e):
                 D = picard.normalize(b, D)
-                assert linsys._model(b, D).basis == oracle(b, D), D
+                assert tuple(map(tuple, linsys._basis(b, D))) == oracle(b, D), D
                 checked += 1
     assert checked >= 20
 
@@ -576,9 +608,9 @@ def test_counting_path_builds_no_model(monkeypatch):
     # fiber-free and prime counts, the component pool and proportions read
     # ranks from `_conditions`; the memos are cleared so nothing is reused
     def refuse(b, D):
-        raise AssertionError("the counting path built a model")
+        raise AssertionError("the counting path built a basis")
 
-    monkeypatch.setattr(linsys, "_model", refuse)
+    monkeypatch.setattr(linsys, "_basis", refuse)
     for memo in (linsys._dim, linsys._fiberfree, linsys._prime):
         memo.cache_clear()
     b1 = b_mixed()
