@@ -161,7 +161,7 @@ def test_factor_multiplicities_char_p():
     assert fac == {(0, 1): 6}
     assert max(fac.values()) > 1  # t^6 is not squarefree
     _, fac = gf.factor_poly(F3, (2, 0, 1))
-    assert set(fac.values()) == {1}  # t^2 + 2 = (t + 1)(t + 2) is
+    assert set(fac.values()) == {1}  # t^2 + 2 = (t + 1)(t + 2) is squarefree
 
 
 def test_factor_extension_field_sampled():
