@@ -235,12 +235,21 @@ def k_bar_catalog(q, d, c1_degrees, c2_degrees, bbar):
 def k_const_catalog(q, d, c1_degrees, c2_degrees):
     """Sum the twist corrections, weighted down by sqrt(q) per squared twist.
 
+    Each summand is the c1 factor times a product over the split fibers of
+    k_m(b) sqrt(q)^(-b^2 m), so the sum over all twist tuples is that factor
+    times the product over the split fibers of sum_b k_m(b) sqrt(q)^(-b^2 m),
+    exactly.  A parity restriction on the twists (ROADMAP item 11) would turn
+    this product into a sum over the two parity classes.
+
     Cached: `predict` and `leading_coeff` ask for the same K at every height."""
-    total = sqrtq(q, 0)
-    ranges = [range(-_b_range(d, m), _b_range(d, m) + 1) for m in c2_degrees]
-    for bbar in itertools.product(*ranges):
-        weight = sum(bp * bp * m for bp, m in zip(bbar, c2_degrees))
-        total = total + k_bar_catalog(q, d, c1_degrees, c2_degrees, bbar) * sqrt_power(q, -weight)
+    total = sqrtq(q, k_bar_catalog(q, d, c1_degrees, (), ()))
+    fiber = {}
+    for m in c2_degrees:
+        if m not in fiber:
+            cap = _b_range(d, m)
+            fiber[m] = sum((k_bar_catalog(q, d, (), (m,), (bp,)) * sqrt_power(q, -bp * bp * m)
+                            for bp in range(-cap, cap + 1)), sqrtq(q, 0))
+        total = total * fiber[m]
     return total
 
 

@@ -25,7 +25,11 @@ containment rows and multiplicities all read it.
 
 Dims, component pools and proportions read ranks from one echelon of a
 class's condition rows (`_conditions`), empty on l = 0; only `section_space`
-builds a basis (`_basis`).
+builds a basis (`_basis`).  The echelon of a class's lines is a copy of the
+memoized one of all its lines but the last, which every class with that
+prefix shares, plus the last block.  Dims have one memo, keyed on canonical
+coordinates (`_dim_at`), which the threshold scan and the sieve read with no
+class built.
 
 Fiber-free members are counted from section-space dims alone: a sieve over
 the vertical prime divisors, E_P and E'_P over each split point and F_P over
@@ -173,8 +177,19 @@ def _layout(b, D):
             "half-integer fiber degree needs the ruled model, available only for l = 0")
     if dp < 0:
         raise EmptySpace(f"no sections for fiber half-degree {dp} < 0")
+    return (dp, *_lines(a, parts))
+
+
+def _lines(a, parts):
+    """(A, lines) of `_layout` from a and the nonzero (P, c_P), refusing nothing."""
     A = a + sum(c * P.degree for P, c in parts if c > 0)
-    return dp, A, tuple((P, "Ep" if c > 0 else "E", abs(c)) for P, c in parts)
+    return A, tuple((P, "Ep" if c > 0 else "E", abs(c)) for P, c in parts)
+
+
+def _split_coeffs(b, parts):
+    """The canonical coefficients of a class's parts in `b.split_points` order."""
+    cmap = dict(parts)
+    return tuple(cmap.get(P, 0) for P in b.split_points)
 
 
 def _basis(b, D):
@@ -190,13 +205,22 @@ def _basis(b, D):
     return _rref(F, kernel)[0]
 
 
-@lru_cache(maxsize=None)
 def _dim(b, D):
-    """The dim of H^0(D), read from ranks without building a basis: the
-    columns of `_conditions` less its rank, so on l = 0 every column.  Raises
-    where `_layout` raises.  It is the one memo of dims."""
-    cols, ech, _ = _conditions(b, D)
-    return len(cols) - len(ech)
+    """The dim of H^0(D), read from ranks without building a basis: `_dim_at`
+    of its canonical coordinates, once `_layout` has admitted the class."""
+    _layout(b, D)
+    dp, a, parts = D.canonical()
+    return _dim_at(b, dp, a, _split_coeffs(b, parts))
+
+
+@lru_cache(maxsize=None)
+def _dim_at(b, dp, a, cs):
+    """The dim of H^0(D), D = (dp, a, cs) in canonical coordinates with cs in
+    `b.split_points` order: `_cols` less the rank of the condition echelon, so
+    on l = 0 every column.  The one memo of dims; it refuses nothing, so dp
+    must be one `_layout` admits."""
+    A, lines = _lines(a, [(P, c) for P, c in zip(b.split_points, cs) if c])
+    return len(_cols(b, dp, A)) - len(_echelon(b, dp, A, lines)[0])
 
 
 @lru_cache(maxsize=None)
@@ -220,13 +244,30 @@ def _conditions(b, D):
     """(cols, ech, piv): the condition rows of a class, one block per line of
     its `_layout`, restricted to `_cols`, in one semi-echelon basis
     (`_append_row`); none on l = 0.  H^0(D) is their kernel there, so its dim
-    is len(cols) - len(ech)."""
+    is len(cols) - len(ech).  The rows and pivots are those of appending
+    every block in turn to one basis (`_echelon`)."""
     dp, A, lines = _layout(b, D)
-    ech, piv = [], []
-    for P, side, c in lines:
-        for row in _line_rows_on_cols(b, dp, A, P, side, c):
-            _append_row(b.field, ech, piv, row)
-    return _cols(b, dp, A), ech, piv
+    return (_cols(b, dp, A), *_echelon(b, dp, A, lines))
+
+
+def _echelon(b, dp, A, lines):
+    """(ech, piv) of the condition blocks of `lines` in order, as new lists:
+    the memoized echelon of lines[:-1] with the last block appended.  An
+    appended row is never changed, so the copy shares the rows."""
+    if not lines:
+        return [], []
+    ech, piv = map(list, _prefix_echelon(b, dp, A, lines[:-1]))
+    for row in _line_rows_on_cols(b, dp, A, *lines[-1]):
+        _append_row(b.field, ech, piv, row)
+    return ech, piv
+
+
+@lru_cache(maxsize=None)
+def _prefix_echelon(b, dp, A, lines):
+    """`_echelon` of a proper prefix of a class's lines, which classes of one
+    (dp, A) share; a class's full echelon is not kept."""
+    ech, piv = _echelon(b, dp, A, lines)
+    return tuple(ech), tuple(piv)
 
 
 # --- vanishing rows over residue fields ---
@@ -469,7 +510,9 @@ def proportion_exact(b, D, S):
 
 
 def proportion_product(b, D, S):
-    """Independence heuristic for the same event, one exponent per component."""
+    """Independence heuristic for the same event, one exponent per component;
+    it refuses a class through `_layout`, as `proportion_exact` does."""
+    _layout(b, D)
     d, _ = picard.type_of(b, D)
     expo = 0
     for P, side in S.elements:
@@ -571,15 +614,12 @@ def _sieve(b, D):
     q, l = b.field.order, b.l
     split = b.split_points
     dp, a, parts = D.canonical()
-    cs = tuple(dict(parts).get(P, 0) for P in split)
+    cs = _split_coeffs(b, parts)
 
     def h(a, cs):
         if dp * l + 2 * a + sum(c * P.degree for c, P in zip(cs, split)) < 0:
             return 0  # H is nef, so a class with D.H < 0 has no sections
-        try:
-            return _dim(b, picard.class_from_canonical(dp, a, dict(zip(split, cs))))
-        except EmptySpace:
-            return 0
+        return _dim_at(b, dp, a, cs)  # dp >= 0: `_fiberfree` reads admitted classes
 
     total = 0
 
@@ -737,17 +777,18 @@ def scan_dimension_threshold(b, cv, d):
     dimension law holds everywhere in the window.
     """
     e_lo, e_hi = -(2 * d + 4), (d * b.l) // 2 + 2 * d + 8
-    fail_at = None
-    for e in range(e_hi, e_lo - 1, -1):
-        for D in picard.classes_of_type(b, d, e):
-            if _dim(b, D) != picard.euler_char(b, cv, D):
-                fail_at = e
-                break
-        if fail_at is not None:
-            break
+    degrees = [P.degree for P in b.split_points]
+
+    def fails(e):
+        # dims and chi from canonical coordinates: no class is built
+        return any(_dim_at(b, dp, a, cs) != picard.euler_char_formula(
+                       d, e, cv.genus, b.l, sum(c * c * m for c, m in zip(cs, degrees)))
+                   for dp, a, cs in picard.canonical_of_type(b, d, e))
+
+    fail_at = next((e for e in range(e_hi, e_lo - 1, -1) if fails(e)), None)
     if fail_at is None:
         return e_lo
     e = fail_at + 1
-    while not picard.classes_of_type(b, d, e):
+    while next(picard.canonical_of_type(b, d, e), None) is None:
         e += 1
     return e

@@ -188,30 +188,34 @@ def normalize(b, D):
     return out
 
 
-def classes_of_type(b, d, e):
-    """All normalized classes of type (d, e), sorted; the per-point coefficient is a
-    signed choice of component, ranging over [-floor(dp/degP), floor(dp/degP)]."""
+def canonical_of_type(b, d, e):
+    """The classes of type (d, e) in canonical coordinates (dp, a, cs), cs the
+    signed E-side coefficients in `b.split_points` order, each ranging over
+    [-floor(dp/degP), floor(dp/degP)]; unsorted, and no class is built."""
     if d % 2 == 0:
         dp = d // 2
     elif b.l == 0:
         dp = Fraction(d, 2)
     else:
-        return []
+        return
     split = b.split_points
     ranges = [range(-int(dp // P.degree), int(dp // P.degree) + 1) for P in split]
-    out = []
-    for combo in itertools.product(*ranges):
+    for cs in itertools.product(*ranges):
         # e = dp*l + 2a + sum c_P deg P in canonical coordinates
-        num = e - dp * b.l - sum(c * P.degree for c, P in zip(combo, split))
+        num = e - dp * b.l - sum(c * P.degree for c, P in zip(cs, split))
         if isinstance(num, Fraction):
             if num.denominator != 1:
                 continue
             num = int(num)
-        if num % 2 != 0:
-            continue
-        out.append(class_from_canonical(dp, num // 2, dict(zip(split, combo))))
-    out.sort(key=_class_sort_key)
-    return out
+        if num % 2 == 0:
+            yield dp, num // 2, cs
+
+
+def classes_of_type(b, d, e):
+    """All normalized classes of type (d, e), sorted: `canonical_of_type` as classes."""
+    split = b.split_points
+    return sorted((class_from_canonical(dp, a, dict(zip(split, cs)))
+                   for dp, a, cs in canonical_of_type(b, d, e)), key=_class_sort_key)
 
 
 def _class_sort_key(D):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import eq, mul
 
-from conic_census import curve, gf, linsys, picard
+from conic_census import census, curve, gf, linsys, picard
 from conic_census.bundle import BinaryForm, bf_mul, fiber_lines, point_form
 from conic_census.errors import OutsideConvergenceRegion
 
@@ -291,3 +291,44 @@ def zeta_truncated_exact(F, s, B):
     den = math.prod((q ** (s * m) - 1) ** n for m, n in counts)
     assert den % F.char, f"zeta truncation denominator is divisible by p = {F.char}"
     return Fraction(_LowestTerms(num, den))
+
+
+def scan_threshold_by_classes(b, cv, d):
+    """`linsys.scan_dimension_threshold` as it was on classes: each class of
+    the type is built and sorted by `picard.classes_of_type`, its dim read by
+    `linsys._dim` and its chi by `picard.euler_char` through the pairing."""
+    e_lo, e_hi = -(2 * d + 4), (d * b.l) // 2 + 2 * d + 8
+    fail_at = None
+    for e in range(e_hi, e_lo - 1, -1):
+        if any(linsys._dim(b, D) != picard.euler_char(b, cv, D)
+               for D in picard.classes_of_type(b, d, e)):
+            fail_at = e
+            break
+    if fail_at is None:
+        return e_lo
+    e = fail_at + 1
+    while not picard.classes_of_type(b, d, e):
+        e += 1
+    return e
+
+
+def conditions_from_scratch(b, D):
+    """`linsys._conditions` with every block of the class appended in turn to
+    one new semi-echelon basis: no prefix echelon is read."""
+    dp, A, lines = linsys._layout(b, D)
+    ech, piv = [], []
+    for P, side, c in lines:
+        for row in linsys._line_rows_on_cols(b, dp, A, P, side, c):
+            linsys._append_row(b.field, ech, piv, row)
+    return linsys._cols(b, dp, A), ech, piv
+
+
+def k_const_by_twists(q, d, c1_degrees, c2_degrees):
+    """`census.k_const_catalog` as the literal sum over every twist tuple."""
+    total = census.sqrtq(q, 0)
+    ranges = [range(-census._b_range(d, m), census._b_range(d, m) + 1) for m in c2_degrees]
+    for bbar in itertools.product(*ranges):
+        weight = sum(bp * bp * m for bp, m in zip(bbar, c2_degrees))
+        k_bar = census.k_bar_catalog(q, d, c1_degrees, c2_degrees, bbar)
+        total = total + k_bar * census.sqrt_power(q, -weight)
+    return total

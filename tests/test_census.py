@@ -1,10 +1,12 @@
 """Leading-constant assembly against hand-computed frozen values."""
 
+import itertools
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import oracles
 from conic_census import bundle, census, curve, gf, linsys, picard
 from conic_census.census import SqrtQRational, sqrtq
 from conic_census.errors import BOutOfRange
@@ -129,6 +131,15 @@ def test_k_const_catalog_frozen():
     assert deg3 == census.k_bar_catalog(3, 2, (), (3,), (0,))
     assert census.k_const_catalog(3, 2, (), ()) == 1
 
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
+def test_k_const_product_matches_the_sum_over_twist_tuples(q):
+    for d, c1, c2 in itertools.product((2, 4, 6), ((), (1,), (1, 2)),
+                                       ((), (1,), (1, 1, 2), (1, 1, 1, 1))):
+        want = oracles.k_const_by_twists(q, d, c1, c2)
+        got = census.k_const_catalog(q, d, c1, c2)
+        assert (got.u, got.v, got.q) == (want.u, want.v, want.q), (d, c1, c2)
 
 
 def test_k_const_catalog_is_memoized():

@@ -170,7 +170,7 @@ def test_sieve_reads_dims_only(monkeypatch):
 
     monkeypatch.setattr(linsys, "_component_pool", refuse)
     monkeypatch.setattr(curve, "closed_points_up_to", refuse)
-    for memo in (linsys._fiberfree, linsys._prime, linsys._dim):
+    for memo in (linsys._fiberfree, linsys._prime, linsys._dim_at):
         memo.cache_clear()
     assert linsys.prime_count(b_trivial(), 2, 8) == PRIME_D2[8]
     b1 = b_mixed()

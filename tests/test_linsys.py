@@ -221,6 +221,17 @@ def test_proportion_exact_smooth_fiber_codimension():
     assert linsys.proportion_product(b1, D, S) == Fraction(1, 27)
 
 
+def test_proportions_refuse_a_component_over_a_nonsplit_point_alike():
+    # t does not split on b_mixed: both proportions refuse through `_layout`
+    b1 = b_mixed()
+    S = component_set(b1, [(P_T2, "full")])
+    for dp, side in itertools.product((1, 2), ("E", "Ep")):
+        D = class_at(dp, 0, {P_T: 1}, {P_T: side})
+        for proportion in (linsys.proportion_exact, linsys.proportion_product):
+            with pytest.raises(NotASplitFiber, match="no split fiber at t"):
+                proportion(b1, D, S)
+
+
 def test_proportion_product_values():
     b1 = b_mixed()
     D = class_at(1, 1)
@@ -451,6 +462,7 @@ def test_parameterized_model_multiplicities():
 F5 = gf.make_field(5)
 F9 = gf.make_field(3, 2)
 F25 = gf.make_field(5, 2)
+F27 = gf.make_field(3, 3)
 
 
 def _over(F, l, *forms):
@@ -578,11 +590,41 @@ def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
 @pytest.mark.parametrize("make, d, want", [(b_f25_l2, 2, 1), (b_mixed, 4, 1)],
                          ids=["F25-l2-d2", "F3-l1-mixed-d4"])
 def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
-    def refuse(b, D):
-        raise AssertionError("the threshold scan built a basis")
+    # dims and chi are read from canonical coordinates: no basis and no class
+    def refuse(*args):
+        raise AssertionError("the threshold scan built a basis or a class")
 
-    monkeypatch.setattr(linsys, "_basis", refuse)
+    for module, name in ((linsys, "_basis"), (picard, "class_from_canonical"),
+                         (picard, "euler_char")):
+        monkeypatch.setattr(module, name, refuse)
     assert linsys.scan_dimension_threshold(make(), curve.P1_CURVE, d) == want
+
+
+@pytest.mark.parametrize("make, degrees", [
+    (b_mixed, (2, 4)), (b_double, (2, 4)), (lambda: b_catalog_l1(F5), (2, 4)),
+    (lambda: b_catalog_l1(F9), (2, 4)), (b_f25_l2, (2, 4)), (lambda: b_catalog_l1(F27), (2, 4)),
+    (b_trivial, (1, 2, 4))],
+    ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2", "F27-l1", "F3-l0-trivial"])
+def test_threshold_scan_matches_the_scan_over_classes(make, degrees):
+    b = make()
+    for d in degrees:
+        want = oracles.scan_threshold_by_classes(b, curve.P1_CURVE, d)
+        assert linsys.scan_dimension_threshold(b, curve.P1_CURVE, d) == want, d
+
+
+@pytest.mark.parametrize("make", [b_double, lambda: b_catalog_l1(F9), b_f25_l2],
+                         ids=["F3-l2-double", "F9-l1", "F25-l2"])
+def test_conditions_on_a_prefix_echelon_match_a_build_from_scratch(make):
+    # `_conditions` appends the last block to the memoized echelon of the
+    # others; the oracle appends every block to one new basis
+    b = make()
+    checked = 0
+    for d, e in itertools.product((2, 4), range(-2, 9)):
+        for D in picard.classes_of_type(b, d, e):
+            if len(linsys._layout(b, D)[2]) >= 2:
+                assert linsys._conditions(b, D) == oracles.conditions_from_scratch(b, D), D
+                checked += 1
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("make", [b_mixed, b_double, lambda: b_catalog_l1(F5), b_trivial],
@@ -611,7 +653,7 @@ def test_counting_path_builds_no_model(monkeypatch):
         raise AssertionError("the counting path built a basis")
 
     monkeypatch.setattr(linsys, "_basis", refuse)
-    for memo in (linsys._dim, linsys._fiberfree, linsys._prime):
+    for memo in (linsys._dim_at, linsys._fiberfree, linsys._prime):
         memo.cache_clear()
     b1 = b_mixed()
     assert linsys.prime_count(b1, 4, 2) == 225
