@@ -243,13 +243,10 @@ def k_const_catalog(q, d, c1_degrees, c2_degrees):
 
     Cached: `predict` and `leading_coeff` ask for the same K at every height."""
     total = sqrtq(q, k_bar_catalog(q, d, c1_degrees, (), ()))
-    fiber = {}
     for m in c2_degrees:
-        if m not in fiber:
-            cap = _b_range(d, m)
-            fiber[m] = sum((k_bar_catalog(q, d, (), (m,), (bp,)) * sqrt_power(q, -bp * bp * m)
-                            for bp in range(-cap, cap + 1)), sqrtq(q, 0))
-        total = total * fiber[m]
+        cap = _b_range(d, m)
+        total = total * sum((k_bar_catalog(q, d, (), (m,), (bp,)) * sqrt_power(q, -bp * bp * m)
+                             for bp in range(-cap, cap + 1)), sqrtq(q, 0))
     return total
 
 
