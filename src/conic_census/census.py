@@ -209,7 +209,7 @@ def _bundle_catalog(b):
 
 
 def _b_range(d, deg):
-    return (d // 2) // deg
+    return picard.twist_cap(d // 2, deg)
 
 
 def k_bar_catalog(q, d, c1_degrees, c2_degrees, bbar):

@@ -41,11 +41,13 @@ these classes (ROADMAP item 2).  A class whose space has more than the
 budget's q^dim vectors is refused before it is counted.
 Fiber-free divisors form the free commutative monoid on the horizontal prime
 divisors, so the irreducible counts follow from the fiber-free counts of the
-sub-classes by a recursion on the fiber degree; no member is built.
+sub-classes by a recursion on the fiber degree.  The recursion, its memos and
+the sieve work on canonical coordinates (dp, a, cs), take the sub-classes
+from `picard.sub_classes` and build no member; only the pool builds a class.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count
 
 from . import curve, picard
@@ -186,12 +188,6 @@ def _lines(a, parts):
     return A, tuple((P, "Ep" if c > 0 else "E", abs(c)) for P, c in parts)
 
 
-def _split_coeffs(b, parts):
-    """The canonical coefficients of a class's parts in `b.split_points` order."""
-    cmap = dict(parts)
-    return tuple(cmap.get(P, 0) for P in b.split_points)
-
-
 def _basis(b, D):
     """The sections of O(D) in rref on the flat layout of (dp, A): the kernel of
     `_conditions`, zero at the conic multiples' pivots."""
@@ -209,8 +205,7 @@ def _dim(b, D):
     """The dim of H^0(D), read from ranks without building a basis: `_dim_at`
     of its canonical coordinates, once `_layout` has admitted the class."""
     _layout(b, D)
-    dp, a, parts = D.canonical()
-    return _dim_at(b, dp, a, _split_coeffs(b, parts))
+    return _dim_at(b, *picard.coords(b, D))
 
 
 @lru_cache(maxsize=None)
@@ -599,8 +594,8 @@ def _vertical_series(q, degrees, n):
     return c
 
 
-def _sieve(b, D):
-    """Fiber-free count of a class from section-space dims alone.
+def _sieve(b, dp, a, cs):
+    """Fiber-free count of the class (dp, a, cs) from section-space dims alone.
 
     The vertical prime divisors are E_P and E'_P over the split points and F_P
     over every other point, so the fiber-free members of |D| are
@@ -611,13 +606,11 @@ def _sieve(b, D):
     and fold into the series as 1 + T^deg P, and a branch whose class has dim 0
     is dropped, since subtracting an effective class never raises a dim.
     """
-    q, l = b.field.order, b.l
+    q = b.field.order
     split = b.split_points
-    dp, a, parts = D.canonical()
-    cs = _split_coeffs(b, parts)
 
     def h(a, cs):
-        if dp * l + 2 * a + sum(c * P.degree for c, P in zip(cs, split)) < 0:
+        if picard.height(b, dp, a, cs) < 0:
             return 0  # H is nef, so a class with D.H < 0 has no sections
         return _dim_at(b, dp, a, cs)  # dp >= 0: `_fiberfree` reads admitted classes
 
@@ -643,7 +636,7 @@ def _sieve(b, D):
                 walk(i + 1, a + da, cs2, minus)
 
     if h(a, cs):
-        _, e = picard.type_of(b, D)
+        e = picard.height(b, dp, a, cs)
         walk(0, a, cs, _vertical_series(q, [P.degree for P in split], e // 2))
     if total % (q - 1):
         raise AssertionError("sieve sum is not divisible by the scalar count")
@@ -651,16 +644,17 @@ def _sieve(b, D):
 
 
 @lru_cache(maxsize=None)
-def _fiberfree(b, D):
-    """Fiber-free count of a class: the sieve over dims (`_sieve`),
-    or on l >= 1 with dprime >= 2 the subset sum over the component pool.
+def _fiberfree(b, dp, a, cs):
+    """Fiber-free count of the admitted class (dp, a, cs): the sieve over dims
+    (`_sieve`), or on l >= 1 with dprime >= 2 the subset sum over the pool.
 
     The pool stays there because its containment rows and the model dims
     disagree on some of those classes (ROADMAP item 2), and reports freeze the
     pool's values."""
-    if b.l and D.dprime >= 2:
-        return _tri_count(b.field, _component_pool(b, D), _dim(b, D))
-    return _sieve(b, D)
+    if b.l and dp >= 2:
+        D = picard.from_coords(b, (dp, a, cs))
+        return _tri_count(b.field, _component_pool(b, D), _dim_at(b, dp, a, cs))
+    return _sieve(b, dp, a, cs)
 
 
 def fiberfree_count(b, D, budget=None):
@@ -673,60 +667,44 @@ def fiberfree_count(b, D, budget=None):
     except EmptySpace:
         return 0  # dprime < 0: no sections, so no members
     _check_budget(b.field.order, dim, budget)
-    return _fiberfree(b, D)
+    return _fiberfree(b, *picard.coords(b, D))
 
 
 # --- irreducible counts by unique factorization ---
 
 
-def _admitted_count(b, D):
-    """`fiberfree_count` of a class that `prime_count` has admitted: the budget
-    is not charged again."""
-    return 0 if D.dprime < 0 else _fiberfree(b, D)
-
-
-def _divide(b, D, k):
-    """The lattice class D/k, normalized, or None when D is not k times a class.
-
-    On l = 0 the quotient may have a half-integer dprime.
-    """
-    dp, a, parts = D.canonical()
-    dp = Fraction(dp, k)
-    if dp.denominator > (2 if b.l == 0 else 1) or a % k or any(c % k for _, c in parts):
-        return None
-    return picard.class_from_canonical(dp, a // k, {P: c // k for P, c in parts})
-
-
-def _weighted(b, E, k0=1):
-    """c(E) = sum of d(E/k) I(E/k) over the lattice classes E/k, here for k >= k0."""
-    d, _ = picard.type_of(b, E)
-    quotients = ((k, _divide(b, E, k)) for k in range(k0, d + 1))
-    return sum(d // k * _prime(b, Ek) for k, Ek in quotients if Ek is not None)
-
-
-def _factor_pairs(b, D):
-    """Unordered pairs D1 + D2 = D whose classes both have fiber-free members
-    of positive fiber degree: vertical classes (dprime 0) have none."""
-    return [(D1, D2) for D1, D2 in picard.decompositions(b, D) if D1.dprime and D2.dprime]
+@lru_cache(maxsize=None)
+def _weighted(b, dp, a, cs, k0=1):
+    """c(E) = sum of d(E/k) I(E/k) over the lattice classes E/k, here for k >= k0,
+    with E = (dp, a, cs); on l = 0 a quotient may have a half-integer dprime."""
+    d, total = int(2 * dp), 0
+    for k in range(k0, d + 1):
+        dk = picard.half_degree(b, d // k)
+        if d % k or dk is None or a % k or any(c % k for c in cs):
+            continue
+        total += d // k * _prime(b, dk, a // k, tuple(c // k for c in cs))
+    return total
 
 
 @lru_cache(maxsize=None)
-def _prime(b, D):
-    """Prime count I(D) of a class with d = D.F >= 1, from fiber-free counts N.
+def _prime(b, dp, a, cs):
+    """Prime count I(D) of D = (dp, a, cs), d = 2 dp >= 1, from fiber-free counts N.
 
     Fiber-free divisors are the free commutative monoid on the horizontal
     primes, so d N(D) = sum over E + R = D, E != 0, of c(E) N(R), with N(0) = 1
     and c(E) = sum over k D' = E of d(D') I(D').  The term R = 0 is c(D), which
-    holds d I(D); the terms with R != 0 are the factor pairs in both orders.
+    holds d I(D); the terms with R != 0 are the ordered pairs of
+    `picard.sub_classes`, less those with a vertical side, which has no
+    fiber-free member of positive fiber degree.
     """
-    d, _ = picard.type_of(b, D)
-    n = _admitted_count(b, D)
-    total = d * n - _weighted(b, D, 2)
-    for D1, D2 in _factor_pairs(b, D):
-        for E, R in ((D1, D2),) if D1 == D2 else ((D1, D2), (D2, D1)):
-            nr = _admitted_count(b, R)
+    d = int(2 * dp)
+    n = _fiberfree(b, dp, a, cs)
+    total = d * n - _weighted(b, dp, a, cs, 2)
+    for E, R in picard.sub_classes(b, dp, a, cs):
+        if E[0] and R[0]:
+            nr = _fiberfree(b, *R)
             if nr:
-                total -= _weighted(b, E) * nr
+                total -= _weighted(b, *E) * nr
     if total % d or not 0 <= total // d <= n:
         raise AssertionError(
             f"prime-count identity fails: d I(D) = {total} with d = {d}, N(D) = {n}")
@@ -737,10 +715,11 @@ def prime_count(b, d, e, budget=None):
     """Irreducible fiber-free multisections of type (d, e): the sum of I(D) over
     the classes of the type, by unique factorization (`_prime`).
 
-    No member is built.  The identity raises AssertionError when it gives
-    I(D) < 0 or I(D) > N(D), or a sum that d does not divide.  The pre-check of
-    the q^dim budget over each class and its factor classes is the one budget
-    gate: the recursion reads the counts without charging the budget again.
+    No member and no class is built outside the pool.  The identity raises
+    AssertionError when it gives I(D) < 0 or I(D) > N(D), or a sum that d does
+    not divide.  The pre-check of the q^dim budget over each class and its
+    factor classes is the one budget gate: the recursion reads the counts
+    without charging the budget again.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     if d < 1:
@@ -756,12 +735,13 @@ def prime_count(b, d, e, budget=None):
             "integer class lattice cannot represent them; the marked set would be "
             "incomplete for any d")
     total = 0
-    for D in picard.classes_of_type(b, d, e):
-        # the budget covers the class and its factor classes on every call,
-        # memoized or not; the recursion reads the counts of all of them
-        for X in [D, *(part for pair in _factor_pairs(b, D) for part in pair)]:
-            fiberfree_count(b, X, budget=budget)
-        total += _prime(b, D)
+    for D in sorted(picard.canonical_of_type(b, d, e), key=partial(picard.coord_key, b)):
+        # the budget covers the class, then both sides of each factor pair in
+        # the walk's order, on every call, memoized or not; the recursion
+        # reads the counts of all of them
+        for X in [D, *(X for E, R in picard.sub_classes(b, *D) if E[0] and R[0] for X in (E, R))]:
+            _check_budget(b.field.order, _dim_at(b, *X), budget)
+        total += _prime(b, *D)
     return total
 
 

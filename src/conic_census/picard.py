@@ -170,13 +170,8 @@ def swap_component(b, D, P):
 
 
 def is_normalized(b, D):
-    """Stored coefficients lie in [0, floor(dprime / deg P)] for every split point."""
-    if D.dprime < 0:
-        return False
-    for P, _, c in D.parts:
-        if c < 0 or c * P.degree > D.dprime:
-            return False
-    return True
+    """Stored coefficients lie in [0, `twist_cap`] for every split point."""
+    return D.dprime >= 0 and all(0 <= c <= twist_cap(D.dprime, P.degree) for P, _, c in D.parts)
 
 
 def normalize(b, D):
@@ -188,85 +183,109 @@ def normalize(b, D):
     return out
 
 
-def canonical_of_type(b, d, e):
-    """The classes of type (d, e) in canonical coordinates (dp, a, cs), cs the
-    signed E-side coefficients in `b.split_points` order, each ranging over
-    [-floor(dp/degP), floor(dp/degP)]; unsorted, and no class is built."""
+# --- canonical coordinates (dp, a, cs): cs the E-side coefficients in `b.split_points` order ---
+
+
+def twist_cap(dp, deg):
+    """The twist box: |c_P| <= floor(dp / deg P) at a split point of degree deg."""
+    return dp // deg
+
+
+def half_degree(b, d):
+    """dprime of fiber degree d: d/2, a half-integer only on l = 0; None for
+    odd d on l >= 1, where the lattice has no such class."""
     if d % 2 == 0:
-        dp = d // 2
-    elif b.l == 0:
-        dp = Fraction(d, 2)
-    else:
+        return d // 2
+    return Fraction(d, 2) if b.l == 0 else None
+
+
+def height(b, dp, a, cs):
+    """e = D.H = dp l + 2a + sum of c_P deg P; dp l is 0 whenever dp is a half-integer."""
+    return int(dp * b.l) + 2 * a + sum(c * P.degree for c, P in zip(cs, b.split_points))
+
+
+def coords(b, D):
+    """The canonical coordinates (dp, a, cs) of a class."""
+    _check_points(b, D)
+    dp, a, bs = D.canonical()
+    return dp, a, tuple(dict(bs).get(P, 0) for P in b.split_points)
+
+
+def from_coords(b, D):
+    """The class of canonical coordinates D = (dp, a, cs)."""
+    dp, a, cs = D
+    return class_from_canonical(dp, a, dict(zip(b.split_points, cs)))
+
+
+@functools.lru_cache(maxsize=None)
+def _key_terms(b):
+    """(index into cs, point key) per split point, in the order of a class's parts."""
+    order = sorted(enumerate(b.split_points), key=lambda iP: _part_key((iP[1], "E", 0)))
+    return tuple((i, (P.degree, P.is_infinity, P.poly or ())) for i, P in order)
+
+
+def coord_key(b, D):
+    """The one sort key of classes, on coordinates D = (dp, a, cs): dp, a, then
+    (point, c_P) over the nonzero twists in the order of the parts."""
+    dp, a, cs = D
+    return dp, a, tuple((pk, cs[i]) for i, pk in _key_terms(b) if cs[i])
+
+
+def canonical_of_type(b, d, e):
+    """The classes of type (d, e) in canonical coordinates, every twist in its
+    box (`twist_cap`); unsorted, and no class is built."""
+    dp = half_degree(b, d)
+    if dp is None:
         return
-    split = b.split_points
-    ranges = [range(-int(dp // P.degree), int(dp // P.degree) + 1) for P in split]
-    for cs in itertools.product(*ranges):
-        # e = dp*l + 2a + sum c_P deg P in canonical coordinates
-        num = e - dp * b.l - sum(c * P.degree for c, P in zip(cs, split))
-        if isinstance(num, Fraction):
-            if num.denominator != 1:
-                continue
-            num = int(num)
+    boxes = [range(-twist_cap(dp, P.degree), twist_cap(dp, P.degree) + 1) for P in b.split_points]
+    for cs in itertools.product(*boxes):
+        num = e - height(b, dp, 0, cs)
         if num % 2 == 0:
             yield dp, num // 2, cs
 
 
 def classes_of_type(b, d, e):
     """All normalized classes of type (d, e), sorted: `canonical_of_type` as classes."""
-    split = b.split_points
-    return sorted((class_from_canonical(dp, a, dict(zip(split, cs)))
-                   for dp, a, cs in canonical_of_type(b, d, e)), key=_class_sort_key)
+    return [from_coords(b, D)
+            for D in sorted(canonical_of_type(b, d, e), key=functools.partial(coord_key, b))]
 
 
-def _class_sort_key(D):
-    dp, a, bs = D.canonical()
-    return (Fraction(dp), a, tuple((P.degree, P.is_infinity, P.poly or (), c) for P, c in bs))
+def sub_classes(b, dp, a, cs):
+    """The ordered pairs (E, D - E) of nonzero classes summing to D = (dp, a, cs),
+    each side's twists in its box and its height in [0, e], vertical sides
+    (dp = 0) included.  They go by the lesser side E in `coord_key` order:
+    (E, D - E), then (D - E, E) unless the two are equal."""
+    d, e = int(2 * dp), height(b, dp, a, cs)
+    key = functools.partial(coord_key, b)
+    lower = []
+    for d1 in range(d // 2 + 1):
+        dp1, dp2 = half_degree(b, d1), half_degree(b, d - d1)
+        if dp1 is None:
+            continue
+        boxes = [range(max(-twist_cap(dp1, P.degree), c - twist_cap(dp2, P.degree)),
+                       min(twist_cap(dp1, P.degree), c + twist_cap(dp2, P.degree)) + 1)
+                 for c, P in zip(cs, b.split_points)]
+        for cs1 in itertools.product(*boxes):
+            cs2 = tuple(c - c1 for c, c1 in zip(cs, cs1))
+            h1 = height(b, dp1, 0, cs1)
+            for a1 in range(-(h1 // 2), (e - h1) // 2 + 1):  # heights h1 + 2 a1 in [0, e]
+                e1 = h1 + 2 * a1
+                if (d1 == 0 and e1 == 0) or (d1 == d and e1 == e):
+                    continue  # the zero class is not a genuine factor
+                E, R = (dp1, a1, cs1), (dp2, a - a1, cs2)
+                kE = key(E)
+                if 2 * d1 < d or kE <= key(R):
+                    lower.append((kE, E, R))
+    lower.sort()  # by E: coord_key is one-to-one on classes
+    for _, E, R in lower:
+        yield E, R
+        if E != R:
+            yield R, E
 
 
 def decompositions(b, D):
-    """Unordered pairs of nonzero effective-candidate classes summing to D (verticals included)."""
-    d, e = type_of(b, D)
-    split = b.split_points
-    _, _, bs = D.canonical()
-    bmap = dict(bs)
-    target_b = [bmap.get(P, 0) for P in split]
-    halves = b.l == 0
-    seen = set()
-    out = []
-    d_steps = [Fraction(k, 2) for k in range(0, d + 1)] if halves else list(range(0, d // 2 + 1))
-    for dp1 in d_steps:
-        dp2 = (Fraction(d, 2) if halves else d // 2) - dp1
-        if dp2 < dp1:
-            continue
-        b_ranges = []
-        for P, tb in zip(split, target_b):
-            lo = max(-int(dp1 // P.degree), tb - int(dp2 // P.degree))
-            hi = min(int(dp1 // P.degree), tb + int(dp2 // P.degree))
-            b_ranges.append(range(lo, hi + 1))
-        for combo in itertools.product(*b_ranges):
-            b1 = dict(zip(split, combo))
-            b2 = {P: tb - c for P, tb, c in zip(split, target_b, combo)}
-            w1 = sum(c * P.degree for P, c in b1.items())
-            w2 = sum(c * P.degree for P, c in b2.items())
-            for e1 in range(0, e + 1):
-                e2 = e - e1
-                n1 = e1 - dp1 * b.l - w1
-                n2 = e2 - dp2 * b.l - w2
-                if isinstance(n1, Fraction):
-                    if n1.denominator != 1 or n2.denominator != 1:
-                        continue
-                    n1, n2 = int(n1), int(n2)
-                if n1 % 2 or n2 % 2:
-                    continue
-                if (dp1 == 0 and e1 == 0) or (dp2 == 0 and e2 == 0):
-                    continue  # the zero class is not a genuine factor
-                D1 = class_from_canonical(dp1, n1 // 2, b1)
-                D2 = class_from_canonical(dp2, n2 // 2, b2)
-                key = tuple(sorted((_class_sort_key(D1), _class_sort_key(D2))))
-                if key in seen:
-                    continue
-                seen.add(key)
-                pair = sorted((D1, D2), key=_class_sort_key)
-                out.append((pair[0], pair[1]))
-    out.sort(key=lambda pr: (_class_sort_key(pr[0]), _class_sort_key(pr[1])))
-    return out
+    """Unordered pairs of nonzero effective-candidate classes summing to D
+    (verticals included): the pairs E <= D - E of `sub_classes`, as classes."""
+    key = functools.partial(coord_key, b)
+    return [(from_coords(b, E), from_coords(b, R))
+            for E, R in sub_classes(b, *coords(b, D)) if key(E) <= key(R)]

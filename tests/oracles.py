@@ -332,3 +332,59 @@ def k_const_by_twists(q, d, c1_degrees, c2_degrees):
         k_bar = census.k_bar_catalog(q, d, c1_degrees, c2_degrees, bbar)
         total = total + k_bar * census.sqrt_power(q, -weight)
     return total
+
+
+def _class_sort_key(D):
+    dp, a, bs = D.canonical()
+    return (Fraction(dp), a, tuple((P.degree, P.is_infinity, P.poly or (), c) for P, c in bs))
+
+
+def decompositions(b, D):
+    """`picard.decompositions` by its former body: every class pair of the twist
+    boxes and heights in [0, e], deduplicated through a set, each pair and the
+    list sorted by the classes' sort key."""
+    d, e = picard.type_of(b, D)
+    split = b.split_points
+    _, _, bs = D.canonical()
+    bmap = dict(bs)
+    target_b = [bmap.get(P, 0) for P in split]
+    halves = b.l == 0
+    seen = set()
+    out = []
+    d_steps = [Fraction(k, 2) for k in range(0, d + 1)] if halves else list(range(0, d // 2 + 1))
+    for dp1 in d_steps:
+        dp2 = (Fraction(d, 2) if halves else d // 2) - dp1
+        if dp2 < dp1:
+            continue
+        b_ranges = []
+        for P, tb in zip(split, target_b):
+            lo = max(-int(dp1 // P.degree), tb - int(dp2 // P.degree))
+            hi = min(int(dp1 // P.degree), tb + int(dp2 // P.degree))
+            b_ranges.append(range(lo, hi + 1))
+        for combo in itertools.product(*b_ranges):
+            b1 = dict(zip(split, combo))
+            b2 = {P: tb - c for P, tb, c in zip(split, target_b, combo)}
+            w1 = sum(c * P.degree for P, c in b1.items())
+            w2 = sum(c * P.degree for P, c in b2.items())
+            for e1 in range(0, e + 1):
+                e2 = e - e1
+                n1 = e1 - dp1 * b.l - w1
+                n2 = e2 - dp2 * b.l - w2
+                if isinstance(n1, Fraction):
+                    if n1.denominator != 1 or n2.denominator != 1:
+                        continue
+                    n1, n2 = int(n1), int(n2)
+                if n1 % 2 or n2 % 2:
+                    continue
+                if (dp1 == 0 and e1 == 0) or (dp2 == 0 and e2 == 0):
+                    continue  # the zero class is not a genuine factor
+                D1 = picard.class_from_canonical(dp1, n1 // 2, b1)
+                D2 = picard.class_from_canonical(dp2, n2 // 2, b2)
+                key = tuple(sorted((_class_sort_key(D1), _class_sort_key(D2))))
+                if key in seen:
+                    continue
+                seen.add(key)
+                pair = sorted((D1, D2), key=_class_sort_key)
+                out.append((pair[0], pair[1]))
+    out.sort(key=lambda pr: (_class_sort_key(pr[0]), _class_sort_key(pr[1])))
+    return out

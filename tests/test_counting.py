@@ -38,6 +38,11 @@ def b_mixed():
     return mk(F3, 1, (0, 1), (1, 0), (1, 1))
 
 
+def b_double():
+    # l=2 with split points of degree 1 and 2
+    return mk(F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2))
+
+
 def b_allsplit():
     # l=1 with every singular fiber split: -(s+t) completes a square chain
     return mk(F3, 1, (0, 1), (1, 0), (2, 2))
@@ -150,7 +155,7 @@ def test_sieve_matches_subset_sum_wherever_it_runs():
             for D in picard.classes_of_type(b, d, e):
                 pool = linsys._component_pool(b, D)
                 want = linsys._tri_count(b.field, pool, linsys._dim(b, D))
-                assert linsys._fiberfree(b, D) == want, (b.field.order, b.l, d, e, D)
+                assert linsys._fiberfree(b, *picard.coords(b, D)) == want, (b.field.order, b.l, d, e, D)
                 checked += 1
     assert checked >= 200
 
@@ -164,18 +169,23 @@ def test_sieve_counts_large_ruled_classes_quickly():
 
 def test_sieve_reads_dims_only(monkeypatch):
     # neither the component pool nor the closed points of the base are built
-    # for a class the sieve counts; the memos are cleared so nothing is reused
+    # for a class the sieve counts, and the prime-count recursion builds,
+    # sorts and intersects no class; the memos are cleared so nothing is reused
     def refuse(*args, **kwargs):
-        raise AssertionError("a class the sieve counts reached the component pool")
+        raise AssertionError("the sieve path reached the component pool or built a class")
 
-    monkeypatch.setattr(linsys, "_component_pool", refuse)
-    monkeypatch.setattr(curve, "closed_points_up_to", refuse)
-    for memo in (linsys._fiberfree, linsys._prime, linsys._dim_at):
-        memo.cache_clear()
-    assert linsys.prime_count(b_trivial(), 2, 8) == PRIME_D2[8]
     b1 = b_mixed()
     classes = picard.classes_of_type(b1, 2, 4)
     assert len(classes) == 2
+    for module, name in ((linsys, "_component_pool"), (curve, "closed_points_up_to"),
+                         (picard, "decompositions"), (picard, "type_of"),
+                         (picard, "class_from_canonical")):
+        monkeypatch.setattr(module, name, refuse)
+    for memo in (linsys._fiberfree, linsys._weighted, linsys._prime, linsys._dim_at):
+        memo.cache_clear()
+    assert linsys.prime_count(b_trivial(), 2, 8) == PRIME_D2[8]
+    assert linsys.prime_count(b_trivial(), 3, 6) == 19342864  # half-integer dprime
+    assert linsys.prime_count(b1, 2, 8) == 944784
     assert [linsys.fiberfree_count(b1, D) for D in classes] == [648, 648]
 
 
@@ -233,7 +243,7 @@ def test_prime_count_honors_a_budget_above_the_default():
     # and the recursion must not charge the default again once they are admitted
     b0 = b_trivial()
     got = linsys.prime_count(b0, 2, 10, budget=10 ** 12)
-    assert got == sum(linsys._prime(b0, D) for D in picard.classes_of_type(b0, 2, 10))
+    assert got == sum(linsys._prime(b0, *D) for D in picard.canonical_of_type(b0, 2, 10))
     with pytest.raises(EnumerationBudgetExceeded):
         linsys.prime_count(b0, 2, 10)
 
@@ -248,6 +258,15 @@ def test_budget_refusal_is_not_truncation():
     assert linsys.prime_count(b0, 2, 4) == PRIME_D2[4]
     with pytest.raises(EnumerationBudgetExceeded):
         linsys.prime_count(b0, 2, 4, budget=100)
+    # the first refusal follows the charge order: each class, then both sides
+    # of each factor pair.  At (6, 3) factor classes of dim 3 and of dim 4 both
+    # exceed the budget; at (4, 2) every class has dim <= 1, so a factor
+    # class refuses
+    for d, e, want in ((6, 3, "3^4 = 81 scan steps exceed the budget 9"),
+                       (4, 2, "3^3 = 27 scan steps exceed the budget 9")):
+        with pytest.raises(EnumerationBudgetExceeded) as refused:
+            linsys.prime_count(b_double(), d, e, budget=9)
+        assert str(refused.value) == want, (d, e)
 
 
 def test_prime_counts_frozen_values():

@@ -653,7 +653,7 @@ def test_counting_path_builds_no_model(monkeypatch):
         raise AssertionError("the counting path built a basis")
 
     monkeypatch.setattr(linsys, "_basis", refuse)
-    for memo in (linsys._dim_at, linsys._fiberfree, linsys._prime):
+    for memo in (linsys._dim_at, linsys._fiberfree, linsys._weighted, linsys._prime):
         memo.cache_clear()
     b1 = b_mixed()
     assert linsys.prime_count(b1, 4, 2) == 225

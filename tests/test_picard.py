@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conic_census import bundle, curve, gf, picard
 from conic_census.errors import BundleMismatch, NotASplitFiber, ParityViolation
 from conic_census.picard import CLASS_F, CLASS_H, NumClass, component_class
@@ -210,3 +211,21 @@ def test_decompositions():
         assert picard.is_normalized(b1, x) and picard.is_normalized(b1, y)
         cx, cy = x.canonical(), y.canonical()
         assert dict(cx[2]).get(P, 0) + dict(cy[2]).get(P, 0) == 1
+
+
+@pytest.mark.parametrize("b", [
+    mk(F3, 0, (F3.one,), (F3.one,), (F3.neg(F3.one),)),
+    mk(F5, 0, (F5.one,), (F5.one,), (F5.neg(F5.one),)),
+    mk(F3, 1, (0, 1), (1, 0), (1, 1)),
+    mk(F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2)),
+], ids=["F3-l0-trivial", "F5-l0-trivial", "F3-l1-mixed", "F3-l2-double"])
+def test_decompositions_match_the_former_walk(b):
+    # the walk over canonical coordinates against the former class-building
+    # body: the same pairs in the same order
+    checked = 0
+    for d in range(7):
+        for e in range(9):
+            for D in picard.classes_of_type(b, d, e):
+                assert picard.decompositions(b, D) == oracles.decompositions(b, D), (d, e, D)
+                checked += 1
+    assert checked >= 30

@@ -1,5 +1,7 @@
-"""The BENCH file writer in tools/bench_pairs.py, on stand-in benchmark runs."""
+"""The BENCH file writer in tools/bench_pairs.py, on stand-in benchmark runs, and
+the functions perfbench traces."""
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -66,3 +68,15 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
     assert seed5["command"] == "python3 perfbench/run.py --workload all --seed 5"
     assert seed5["correct"] is False and seed5["failed"] == {"parent": 0, "change": 1}
     assert seed5["parent"] == seed5["change"] == {"ambient": {"wall_s": 0.5, "peak_rss_mb": 22.5}}
+
+
+def test_perfbench_spans_name_live_functions():
+    # a traced benchmark run wraps each of these by name, so a refactor that
+    # drops one fails here rather than in the benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for short, names in child.SPANS.items():
+        module = importlib.import_module(f"conic_census.{short}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{short}.{name}"
