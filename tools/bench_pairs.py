@@ -26,7 +26,8 @@ import sys
 from pathlib import Path
 
 TRACE_METRICS = ("cli.run_report_s", "linsys.threshold_s", "linsys.self_s",
-                 "picard.classes_of_type_calls", "check.known_defects_open",
+                 "linsys.prime_count_s", "picard.self_s", "picard.classes_of_type_calls",
+                 "picard.decompositions_calls", "check.known_defects_open",
                  "trace.overhead_ratio")
 ORDER = "parent first in even-numbered pairs (from 0), change first in odd-numbered pairs"
 
