@@ -28,8 +28,8 @@ class's condition rows (`_conditions`), empty on l = 0; only `section_space`
 builds a basis (`_basis`).  The echelon of a class's lines is a copy of the
 memoized one of all its lines but the last, which every class with that
 prefix shares, plus the last block.  Dims have one memo, keyed on canonical
-coordinates (`_dim_at`), which the threshold scan and the sieve read with no
-class built.
+coordinates (`_dim_at`) and read with no class built; above a per-(dp, cs)
+threshold (`_a0`) it is chi, and the threshold scan reads that table alone.
 
 Fiber-free members are counted from section-space dims alone: a sieve over
 the vertical prime divisors, E_P and E'_P over each split point and F_P over
@@ -46,6 +46,7 @@ the sieve work on canonical coordinates (dp, a, cs), take the sub-classes
 from `picard.sub_classes` and build no member; only the pool builds a class.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress, count
@@ -211,11 +212,42 @@ def _dim(b, D):
 @lru_cache(maxsize=None)
 def _dim_at(b, dp, a, cs):
     """The dim of H^0(D), D = (dp, a, cs) in canonical coordinates with cs in
-    `b.split_points` order: `_cols` less the rank of the condition echelon, so
-    on l = 0 every column.  The one memo of dims; it refuses nothing, so dp
-    must be one `_layout` admits."""
+    `b.split_points` order: chi on P1 at a >= `_a0` on l = 0 and at dp <= 1,
+    where the model's dims are exact, else `_echelon_dim`.  The one memo of
+    dims; it refuses nothing, so dp must be one `_layout` admits."""
+    if (b.l == 0 or dp <= 1) and a >= _a0(b, dp, cs):
+        return _chi(b, dp, a, cs)
+    return _echelon_dim(b, dp, a, cs)
+
+
+def _echelon_dim(b, dp, a, cs):
+    """`_cols` less the rank of the condition echelon, so on l = 0 every column."""
     A, lines = _lines(a, [(P, c) for P, c in zip(b.split_points, cs) if c])
     return len(_cols(b, dp, A)) - len(_echelon(b, dp, A, lines)[0])
+
+
+def _chi(b, dp, a, cs):
+    """chi of (dp, a, cs) on P1: every caller counts over the projective line."""
+    return picard.euler_char_formula(int(2 * dp), picard.height(b, dp, a, cs), 0, b.l,
+                                     sum(c * c * P.degree for c, P in zip(cs, b.split_points)))
+
+
+@lru_cache(maxsize=None)
+def _a0(b, dp, cs):
+    """The least a at which `_echelon_dim` of (dp, a, cs) is chi on P1: the a0
+    table that `_dim_at` and the threshold scan read.  For dp >= 0 and every
+    |c_P| <= dp + 1, h^2 = 0 and h^1 = dim - chi never rises with a (ROADMAP
+    item 18), so a steps up from the least a with chi >= 0, below which
+    dim >= 0 > chi.  On l >= 1 with dp >= 2 it starts at A >= l - 1, below
+    which the model lacks item 2's H^1 kernel.  Outside that box: inf."""
+    if dp < 0 or any(abs(c) > dp + 1 for c in cs):
+        return math.inf
+    a = -(_chi(b, dp, 0, cs) // (int(2 * dp) + 1))  # chi rises by d + 1 per step
+    if b.l and dp >= 2:
+        a = max(a, b.l - 1 - sum(c * P.degree for c, P in zip(cs, b.split_points) if c > 0))
+    while _echelon_dim(b, dp, a, cs) != _chi(b, dp, a, cs):
+        a += 1
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -751,22 +783,23 @@ def prime_count(b, d, e, budget=None):
 def scan_dimension_threshold(b, cv, d):
     """Least height above which every class of fiber degree d has dim equal to chi.
 
-    Scans heights downward through the window -(2d + 4) <= e <= floor(dl/2) +
-    2d + 8, finds the largest height with a failing class, and returns the
-    next height at which classes exist; returns the window floor when the
-    dimension law holds everywhere in the window.
+    In the window -(2d + 4) <= e <= floor(dl/2) + 2d + 8 it reads the a0 table
+    alone (`_a0`): the classes (dp, a, cs) of a twist tuple fail exactly at
+    a < a0, so the largest failing height of cs is h(cs) + 2 (min(a0, a_hi + 1)
+    - 1).  Returns the next height above the largest at which classes exist,
+    or the window floor when no class of the window fails.  Hypothesis: for
+    dp >= 0 and |c_P| <= dp + 1, h^2 = 0 and h^1 never rises with a; proven for
+    the model's dims on l = 0 and at dp <= 1, measured on l >= 1 with dp >= 2,
+    where it holds once A >= l - 1 (item 2's missing H^1 kernel is then zero).
+    The table is P1's: every caller passes genus 0 (the CLI's predict too).
     """
     e_lo, e_hi = -(2 * d + 4), (d * b.l) // 2 + 2 * d + 8
-    degrees = [P.degree for P in b.split_points]
-
-    def fails(e):
-        # dims and chi from canonical coordinates: no class is built
-        return any(_dim_at(b, dp, a, cs) != picard.euler_char_formula(
-                       d, e, cv.genus, b.l, sum(c * c * m for c, m in zip(cs, degrees)))
-                   for dp, a, cs in picard.canonical_of_type(b, d, e))
-
-    fail_at = next((e for e in range(e_hi, e_lo - 1, -1) if fails(e)), None)
-    if fail_at is None:
+    dp = picard.half_degree(b, d)
+    fail_at = e_lo - 1
+    for cs in (() if dp is None else picard.twist_box(b, dp)):
+        h = picard.height(b, dp, 0, cs)
+        fail_at = max(fail_at, h + 2 * (min(_a0(b, dp, cs), (e_hi - h) // 2 + 1) - 1))
+    if fail_at < e_lo:
         return e_lo
     e = fail_at + 1
     while next(picard.canonical_of_type(b, d, e), None) is None:

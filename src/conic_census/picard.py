@@ -231,14 +231,19 @@ def coord_key(b, D):
     return dp, a, tuple((pk, cs[i]) for i, pk in _key_terms(b) if cs[i])
 
 
+def twist_box(b, dp):
+    """Every twist tuple cs of fiber half-degree dp, each c_P in its box (`twist_cap`)."""
+    return itertools.product(*(range(-twist_cap(dp, P.degree), twist_cap(dp, P.degree) + 1)
+                               for P in b.split_points))
+
+
 def canonical_of_type(b, d, e):
     """The classes of type (d, e) in canonical coordinates, every twist in its
-    box (`twist_cap`); unsorted, and no class is built."""
+    box (`twist_box`); unsorted, and no class is built."""
     dp = half_degree(b, d)
     if dp is None:
         return
-    boxes = [range(-twist_cap(dp, P.degree), twist_cap(dp, P.degree) + 1) for P in b.split_points]
-    for cs in itertools.product(*boxes):
+    for cs in twist_box(b, dp):
         num = e - height(b, dp, 0, cs)
         if num % 2 == 0:
             yield dp, num // 2, cs

@@ -388,3 +388,30 @@ def decompositions(b, D):
                 out.append((pair[0], pair[1]))
     out.sort(key=lambda pr: (_class_sort_key(pr[0]), _class_sort_key(pr[1])))
     return out
+
+
+def p1_prime_counts(q, n_max, m_max):
+    """Irreducible curves of bidegree (n, m) on P1 x P1 over F_q, as a dict on
+    (n, m) for n <= n_max and m <= m_max, with no linear algebra.
+
+    Effective divisors of bidegree (n, m) number N(n, m) = (q^((n+1)(m+1)) -
+    1)/(q - 1), and they form the free commutative monoid on the irreducible
+    ones, so sum N(n, m) x^n y^m = prod (1 - x^i y^j)^(-I(i, j)).  Its log
+    derivative along x d/dx + y d/dy gives, on w = n + m,
+    w N(n, m) = sum of c(i, j) N(n - i, m - j) over nonzero (i, j) <= (n, m),
+    with c(i, j) the sum of (i + j)/k I(i/k, j/k) over the common divisors k."""
+    def N(n, m):
+        return (q ** ((n + 1) * (m + 1)) - 1) // (q - 1)
+
+    c, I = {}, {}
+    for w in range(1, n_max + m_max + 1):
+        for n in range(max(0, w - m_max), min(w, n_max) + 1):
+            m = w - n
+            c[n, m] = w * N(n, m) - sum(c[i, j] * N(n - i, m - j)
+                                        for i in range(n + 1) for j in range(m + 1)
+                                        if 0 < i + j < w)
+            rest = c[n, m] - sum(w // k * I[n // k, m // k]
+                                 for k in range(2, w + 1) if n % k == 0 == m % k)
+            assert rest % w == 0, (q, n, m)
+            I[n, m] = rest // w
+    return I

@@ -284,6 +284,22 @@ def test_prime_counts_frozen_values():
     assert linsys.prime_count(b9, 2, 2) == 58320
 
 
+def test_prime_counts_match_the_p1_closed_form_on_l0():
+    # ROADMAP item 16: on l = 0 the classes of type (d, e) are the bidegree
+    # (d, e/2) curves on P1 x P1, whose irreducible counts the oracle takes
+    # from the divisor counts alone.  Above a0 every dim the sieve reads is chi,
+    # so F3 d = 4 reaches e = 40 with four echelons
+    want = oracles.p1_prime_counts(3, 2, 4)
+    assert want[1, 1] == 24 and all(want[2, e // 2] == n for e, n in PRIME_D2.items())
+    for F in (F3, F5, F9, F25, F27):
+        b = _l0(F)
+        want = oracles.p1_prime_counts(F.order, 4, 20)
+        for d in (1, 2, 3, 4):
+            for e in range(0, 41, 2):
+                got = linsys.prime_count(b, d, e, budget=10 ** 400)
+                assert got == want[d, e // 2], (F.order, d, e)
+
+
 def test_prime_composite_subtraction_identity():
     # composite counts are unordered products of fiber-free halves
     pairs = {

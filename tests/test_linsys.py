@@ -1,6 +1,7 @@
 """Section spaces, component multiplicities, and sieve proportions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -610,6 +611,90 @@ def test_threshold_scan_matches_the_scan_over_classes(make, degrees):
     for d in degrees:
         want = oracles.scan_threshold_by_classes(b, curve.P1_CURVE, d)
         assert linsys.scan_dimension_threshold(b, curve.P1_CURVE, d) == want, d
+
+
+SCANNED = [b_mixed, b_double, lambda: b_catalog_l1(F5), lambda: b_catalog_l1(F9), b_f25_l2,
+           lambda: b_catalog_l1(F27), b_trivial]
+SCANNED_IDS = ["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2", "F27-l1",
+               "F3-l0-trivial"]
+
+
+@pytest.mark.parametrize("make", SCANNED, ids=SCANNED_IDS)
+def test_dim_equal_to_chi_persists_as_a_rises(make):
+    # ROADMAP item 18: h^1 = dim - chi never rises with a at fixed (dp, cs), so
+    # dim = chi at a gives dim = chi at a + 1.  Proven for the model's dims on
+    # l = 0 and at dp <= 1; at dp = 2 on l >= 1 it is only measured, since the
+    # model lacks item 2's H^1 kernel at A <= l - 2.  `_a0` and the threshold
+    # scan rest on it, so a change to the model that breaks it must fail here
+    b = make()
+    for d in (2, 4):
+        dp = picard.half_degree(b, d)
+        for cs in picard.twist_box(b, dp):
+            h = picard.height(b, dp, 0, cs)
+            start = -(linsys._chi(b, dp, 0, cs) // (d + 1))  # the least a with chi >= 0
+            held = [linsys._echelon_dim(b, dp, a, cs) == linsys._chi(b, dp, a, cs)
+                    for a in range(start, (16 - h) // 2 + 2)]  # heights up to 16, and a + 1
+            assert held == sorted(held), (
+                f"dim = chi at some a but not at a + 1 for dp = {dp}, cs = {cs} "
+                f"(from a = {start}: {held}); the a0 table and the threshold scan assume it")
+
+
+def test_threshold_scan_builds_an_echelon_per_twist_tuple(monkeypatch):
+    # the scan reads the a0 table: per twist tuple one echelon at a0 and one
+    # at each a from the least a with chi >= 0 below it.  On this fixture
+    # every a0 is that least a, so it builds 81 dims; the downward sweep over
+    # the window's classes built 568
+    b = b_f25_l2()
+    built = []
+    echelon_dim = linsys._echelon_dim
+    monkeypatch.setattr(linsys, "_echelon_dim", lambda *X: built.append(X) or echelon_dim(*X))
+    linsys._a0.cache_clear()
+    assert linsys.scan_dimension_threshold(b, curve.P1_CURVE, 2) == 1
+    box = list(picard.twist_box(b, 1))
+    below = sum(linsys._a0(b, 1, cs) + linsys._chi(b, 1, 0, cs) // 3 for cs in box)
+    assert len(built) == len(box) + below == 81
+
+
+@pytest.mark.parametrize("make, degrees", [
+    (b_mixed, (0, 2)), (b_double, (0, 2)), (lambda: b_catalog_l1(F5), (0, 2)),
+    (lambda: b_catalog_l1(F9), (0, 2)), (b_f25_l2, (0, 2)), (lambda: b_catalog_l1(F27), (0, 2)),
+    (b_trivial, (0, 1, 2, 3, 4))],
+    ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2", "F27-l1", "F3-l0-trivial"])
+def test_dim_memo_reads_chi_where_the_echelon_gives_it(make, degrees):
+    # `_dim_at` returns chi at a >= a0 on l = 0 and at dp <= 1.  On every
+    # class up to e = 30, and on its shifts by E_P and E'_P that the sieve
+    # reads (|c_P| up to dp + 1), it equals the echelon dim
+    b = make()
+    linsys._dim_at.cache_clear()
+    by_chi = 0
+    for d in degrees:
+        for e in range(-(2 * d + 4), 31):
+            for dp, a, cs in picard.canonical_of_type(b, d, e):
+                shifted = [(a + da, cs[:i] + (cs[i] + dc,) + cs[i + 1:])
+                           for i, P in enumerate(b.split_points)
+                           for da, dc in ((0, -1), (-P.degree, 1))]
+                for a2, cs2 in [(a, cs), *shifted]:
+                    want = linsys._echelon_dim(b, dp, a2, cs2)
+                    assert linsys._dim_at(b, dp, a2, cs2) == want, (dp, a2, cs2)
+                    by_chi += a2 >= linsys._a0(b, dp, cs2)
+    assert by_chi >= 60
+
+
+def test_dim_memo_takes_the_echelon_outside_the_twist_box():
+    # at |c_P| = dp + 2 the fiber restriction has a line of degree -2, so h^1
+    # stays 1 at every a and no a0 exists: a step-up would never end
+    b = b_mixed()
+    assert linsys._a0(b, 1, (3,)) == math.inf
+    assert [linsys._dim_at(b, 1, a, (3,)) - linsys._chi(b, 1, a, (3,)) for a in (4, 9)] == [1, 1]
+    assert linsys._dim(b, class_at(1, 9, {P_T1: 3})) == linsys._echelon_dim(b, 1, 9, (3,))
+
+
+def test_prime_count_keeps_its_values_with_chi_dims():
+    # the values with every dim from the echelon, before `_dim_at` read chi
+    # above a0; the largest dim at e = 20 is 30, above the default budget
+    b = b_double()
+    for e, want in ((12, 219738968), (20, 116778286722328)):
+        assert linsys.prime_count(b, 2, e, budget=10 ** 20) == want, e
 
 
 @pytest.mark.parametrize("make", [b_double, lambda: b_catalog_l1(F9), b_f25_l2],

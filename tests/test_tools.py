@@ -4,6 +4,8 @@ the functions perfbench traces."""
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +42,8 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
     monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: None)
+    tier1_runs = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_pytest(tier1_runs))
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     spec_doc = {"workloads": [{"name": "ambient"}],
@@ -68,6 +72,36 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
     assert seed5["command"] == "python3 perfbench/run.py --workload all --seed 5"
     assert seed5["correct"] is False and seed5["failed"] == {"parent": 0, "change": 1}
     assert seed5["parent"] == seed5["change"] == {"ambient": {"wall_s": 0.5, "peak_rss_mb": 22.5}}
+    # the tier-1 tests ran once per side, parent first, from each checkout's src
+    assert [Path(cwd).name for cwd, _ in tier1_runs] == ["parent", "change"]
+    assert all(path.split(os.pathsep)[0] == "src" for _, path in tier1_runs)
+    tier1 = doc["tier1"]
+    assert tier1["command"] == "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+    for side in ("parent", "change"):
+        assert tier1[side]["passed"] == 275 and tier1[side]["failed"] == 2
+        assert tier1[side]["summary"] == "2 failed, 275 passed in 26.35s"
+        assert tier1[side]["wall_s"] >= 0
+
+
+def _fake_pytest(runs):
+    """A stand-in for subprocess.run that records the tier-1 call's working
+    directory and PYTHONPATH and prints pytest's summary line."""
+    def run(cmd, cwd, capture_output, text, env):
+        assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+        runs.append((cwd, env["PYTHONPATH"]))
+        stdout = "....F\n=== short test summary info ===\n2 failed, 275 passed in 26.35s\n"
+        return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr="")
+    return run
+
+
+def test_tier1_counts_every_outcome_of_the_summary_line(monkeypatch):
+    def run(cmd, cwd, capture_output, text, env):
+        return subprocess.CompletedProcess(cmd, 1, stdout="1 failed, 3 passed, 2 errors in 0.50s\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    got = bench_pairs.tier1({"parent": "p", "change": "c"})["change"]
+    assert {k: got[k] for k in ("failed", "passed", "errors")} == {"failed": 1, "passed": 3,
+                                                                   "errors": 2}
 
 
 def test_perfbench_spans_name_live_functions():

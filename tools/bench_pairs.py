@@ -12,23 +12,28 @@ file records the value of each run, the quartiles of each side (inclusive
 method) and in how many pairs the change was better.  `--claim` adds a claim
 block for one metric; `--trace W` runs workload W traced at seed 0 once per
 side, parent first, and records the per-layer metrics in TRACE_METRICS.
-Last, `--workload all --seed 5` runs once per side, parent first, and the
-`seed5` block records its end-to-end values, `correct` and `failed`.
+Then `--workload all --seed 5` runs once per side, parent first, and the
+`seed5` block records its end-to-end values, `correct` and `failed`.  Last,
+the tier-1 tests run once per side, parent first, and the `tier1` block
+records each side's wall time and the counts of pytest's summary line.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 TRACE_METRICS = ("cli.run_report_s", "linsys.threshold_s", "linsys.self_s",
                  "linsys.prime_count_s", "picard.self_s", "picard.classes_of_type_calls",
                  "picard.decompositions_calls", "check.known_defects_open",
                  "trace.overhead_ratio")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 ORDER = "parent first in even-numbered pairs (from 0), change first in odd-numbered pairs"
 
 
@@ -134,6 +139,22 @@ def seed5(sides, workloads, metrics):
     return out
 
 
+def tier1(sides):
+    """One tier-1 run per side, parent first, each with its checkout's src on
+    PYTHONPATH: the wall time and the counts of pytest's summary line."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    out = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+           "note": "one run per side, parent first; wall_s includes interpreter start-up"}
+    for side in ("parent", "change"):
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, *TIER1], cwd=sides[side], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=path))
+        summary = (run.stdout.strip().splitlines() or [""])[-1]
+        out[side] = {"wall_s": round(time.perf_counter() - start, 2), "summary": summary,
+                     **{word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -176,6 +197,7 @@ def main(argv=None):
         direction = next(m["better"] for m in metrics if m["name"] == ns.claim.split(".", 1)[1])
         doc["claim_" + ns.claim.replace(".", "_")] = claim(block, ns.claim, direction)
     doc["seed5"] = seed5(sides, workloads, metrics)
+    doc["tier1"] = tier1(sides)
     Path(ns.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
