@@ -787,16 +787,18 @@ def scan_dimension_threshold(b, cv, d):
     alone (`_a0`): the classes (dp, a, cs) of a twist tuple fail exactly at
     a < a0, so the largest failing height of cs is h(cs) + 2 (min(a0, a_hi + 1)
     - 1).  Returns the next height above the largest at which classes exist,
-    or the window floor when no class of the window fails.  Hypothesis: for
-    dp >= 0 and |c_P| <= dp + 1, h^2 = 0 and h^1 never rises with a; proven for
-    the model's dims on l = 0 and at dp <= 1, measured on l >= 1 with dp >= 2,
+    or the window floor when none fails.  Hypothesis: for dp >= 0 and
+    |c_P| <= dp + 1, h^2 = 0 and h^1 never rises with a; proven for the
+    model's dims on l = 0 and at dp <= 1, measured on l >= 1 with dp >= 2,
     where it holds once A >= l - 1 (item 2's missing H^1 kernel is then zero).
-    The table is P1's: every caller passes genus 0 (the CLI's predict too).
-    """
+    The table is P1's: every caller passes genus 0 (the CLI scans for predict
+    only at genus 0)."""
     e_lo, e_hi = -(2 * d + 4), (d * b.l) // 2 + 2 * d + 8
     dp = picard.half_degree(b, d)
+    if dp is None:
+        return e_lo  # odd d on l >= 1: the type has no class
     fail_at = e_lo - 1
-    for cs in (() if dp is None else picard.twist_box(b, dp)):
+    for cs in picard.twist_box(b, dp):
         h = picard.height(b, dp, 0, cs)
         fail_at = max(fail_at, h + 2 * (min(_a0(b, dp, cs), (e_hi - h) // 2 + 1) - 1))
     if fail_at < e_lo:

@@ -295,12 +295,14 @@ def zeta_truncated_exact(F, s, B):
 
 def scan_threshold_by_classes(b, cv, d):
     """`linsys.scan_dimension_threshold` as it was on classes: each class of
-    the type is built and sorted by `picard.classes_of_type`, its dim read by
-    `linsys._dim` and its chi by `picard.euler_char` through the pairing."""
+    the type is built and sorted by `picard.classes_of_type`, its dim read
+    from its echelon (`linsys._echelon_dim`, not the a0 table that the scan
+    and `linsys._dim` read) and its chi by `picard.euler_char` through the
+    pairing."""
     e_lo, e_hi = -(2 * d + 4), (d * b.l) // 2 + 2 * d + 8
     fail_at = None
     for e in range(e_hi, e_lo - 1, -1):
-        if any(linsys._dim(b, D) != picard.euler_char(b, cv, D)
+        if any(linsys._echelon_dim(b, *picard.coords(b, D)) != picard.euler_char(b, cv, D)
                for D in picard.classes_of_type(b, d, e)):
             fail_at = e
             break
