@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import curve, linsys, picard
+from . import curve
 from .bundle import FiberClass
 from .errors import BOutOfRange
 from .value import Value
@@ -209,6 +209,8 @@ def _bundle_catalog(b):
 
 
 def _b_range(d, deg):
+    from . import picard  # imported here, as in compare_table: zeta loads census alone
+
     return picard.twist_cap(d // 2, deg)
 
 
@@ -284,6 +286,8 @@ def predict(b, cv, d, e):
 
 def compare_table(b, cv, d, e_list, budget=None):
     """Predicted versus enumerated counts, one row per height."""
+    from . import linsys, picard
+
     rows = []
     for e in e_list:
         main, err = predict(b, cv, d, e)

@@ -17,14 +17,14 @@ flagged, never truncated.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 import time
 
-from . import bundle, census, curve, gf, linsys, picard
+# census, linsys and picard are imported by the tasks that call them: a zeta or
+# classify run then compiles none of the counting engines
+from . import bundle, curve, gf
 from .errors import (CharTwoUnsupported, ConfigError, EnumerationBudgetExceeded,
                      FieldTooLarge, NonReducedFiber, NotPrime,
                      OddDegreeUnsupported, SingularTotalSpace)
@@ -280,6 +280,8 @@ def _task_classify(cfg):
 
 
 def _task_predict(cfg):
+    from . import census, linsys
+
     b, cv, prm = cfg.bundle, cfg.curve, cfg.params
     d, prec = prm["d"], prm["precision"]
     q = b.field.order
@@ -301,6 +303,8 @@ def _task_predict(cfg):
 
 
 def _task_enumerate(cfg):
+    from . import linsys, picard
+
     b, prm = cfg.bundle, cfg.params
     d, budget = prm["d"], prm["budget"]
     status = 0
@@ -323,6 +327,8 @@ def _task_enumerate(cfg):
 
 
 def _task_compare(cfg):
+    from . import census, linsys
+
     b, cv, prm = cfg.bundle, cfg.curve, cfg.params
     d, budget, prec = prm["d"], prm["budget"], prm["precision"]
     status = 0
@@ -347,6 +353,8 @@ def _task_compare(cfg):
 
 
 def _task_zeta(cfg):
+    from . import census
+
     # truncation values are exact rationals with millions of bits by depth 12;
     # reports carry their floor decimals, certified by integer enclosures
     F, cv, prm = cfg.field, cfg.curve, cfg.params
@@ -393,6 +401,9 @@ def render_json(doc):
 
 def render_csv(doc):
     """Flatten compare rows; sqrt values render as their tagged decimals."""
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["d", "e", "predicted", "error_scale", "enumerated_Mf",

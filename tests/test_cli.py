@@ -409,6 +409,29 @@ def test_cli_run_imports_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
+LAZY = ("conic_census.census", "conic_census.linsys", "conic_census.picard", "csv")
+
+
+@pytest.mark.parametrize("document, loaded", [
+    (None, []),
+    (doc(TRIVIAL, "classify"), []),
+    (doc(TRIVIAL, "zeta", s=2), ["conic_census.census"]),
+    (doc(TRIVIAL, "compare", d=2, e_list=[2]), list(LAZY[:3]))],
+    ids=["import", "classify", "zeta", "compare-json"])
+def test_cli_loads_only_the_engines_its_task_calls(document, loaded):
+    # with PYTHONDONTWRITEBYTECODE every module a run loads is compiled from
+    # source, so a task that counts nothing must not load the counting engines
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, conic_census.cli as cli\n"
+    if document is not None:
+        code += ("cfg = cli.parse_config(" + json.dumps(json.dumps(document)) + ")\n"
+                 "cli.render_json(cli.run_report(cfg)[0])\n")
+    code += f"print(' '.join(m for m in {LAZY!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == loaded
+
+
 @pytest.mark.parametrize("base, params", [
     (MIXED, {"d": 2, "e_list": [2, 4]}), (TRIVIAL, {"d": 3, "e_list": [2, 4]})],
     ids=["F3-l1-d2", "F3-l0-d3"])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conic_census import bundle, curve, gf, linsys, picard
+from conic_census import bundle, census, curve, gf, linsys, picard
 from conic_census.bundle import BinaryForm, bf_mul
 from conic_census.errors import EnumerationBudgetExceeded, OddDegreeUnsupported
 from conic_census.picard import NumClass
@@ -298,6 +298,25 @@ def test_prime_counts_match_the_p1_closed_form_on_l0():
             for e in range(0, 41, 2):
                 got = linsys.prime_count(b, d, e, budget=10 ** 400)
                 assert got == want[d, e // 2], (F.order, d, e)
+
+
+def test_l0_secondary_term_is_exact():
+    # ROADMAP items 11 and 16: on the F3 trivial bundle at d = 2 the count
+    # misses the prediction by exactly the composites of two d = 1 curves
+    b = b_trivial()
+    prime = oracles.p1_prime_counts(3, 2, 40)
+    for e in range(2, 81, 2):
+        main, err = census.predict(b, curve.P1_CURVE, 2, e)
+        got = (prime[2, e // 2] - main) / err
+        want = -Fraction(16, 9) * (e + 4) - (Fraction(4, 3 ** (e // 2 + 1)) if e % 4 == 0 else 0)
+        assert got == want, (
+            f"e = {e}: (M - main)/error_scale = {got.u} + {got.v}*sqrt(3), expected {want}. "
+            "M = main minus the unordered pairs of curves of bidegree (1, i) and "
+            "(1, e/2 - i), of which there are 4 at i = 0 and 8*3^(2i-1) at i >= 1: "
+            "half the ordered pairs give -(16/9)(e + 4) error scales, and when 4 | e the "
+            "8*3^(e/2-1) double curves 2C of bidegree (2, e/2) add half of their number, "
+            "-4/3^(e/2+1) error scales. The secondary term is linear in e, and "
+            "error_scale omits that factor")
 
 
 def test_prime_composite_subtraction_identity():

@@ -7,6 +7,9 @@ import json
 import os
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -43,7 +46,7 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "bench", fake_bench)
     monkeypatch.setattr(bench_pairs, "commit_of", lambda checkout: None)
     tier1_runs = []
-    monkeypatch.setattr(bench_pairs.subprocess, "run", _fake_pytest(tier1_runs))
+    _fake_pytest(monkeypatch, tier1_runs)
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     spec_doc = {"workloads": [{"name": "ambient"}],
@@ -72,36 +75,59 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
     assert seed5["command"] == "python3 perfbench/run.py --workload all --seed 5"
     assert seed5["correct"] is False and seed5["failed"] == {"parent": 0, "change": 1}
     assert seed5["parent"] == seed5["change"] == {"ambient": {"wall_s": 0.5, "peak_rss_mb": 22.5}}
-    # the tier-1 tests ran once per side, parent first, from each checkout's src
-    assert [Path(cwd).name for cwd, _ in tier1_runs] == ["parent", "change"]
+    # the tier-1 tests ran in three alternating pairs, from each checkout's src
+    assert [Path(cwd).name for cwd, _ in tier1_runs] == [side for side, _ in pairs[:6]]
     assert all(path.split(os.pathsep)[0] == "src" for _, path in tier1_runs)
     tier1 = doc["tier1"]
     assert tier1["command"] == "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
-    for side in ("parent", "change"):
+    assert tier1["pairs"] == 3 and tier1["order"] == bench_pairs.ORDER
+    for side, walls in TIER1_WALLS.items():
         assert tier1[side]["passed"] == 275 and tier1[side]["failed"] == 2
-        assert tier1[side]["summary"] == "2 failed, 275 passed in 26.35s"
-        assert tier1[side]["wall_s"] >= 0
+        assert tier1[side]["summary"] == f"2 failed, 275 passed in {walls[0]}s"
+        assert tier1[side]["wall_s"] == walls
+        assert tier1[side]["wall_quartiles"] == bench_pairs.quartiles(walls)
+    assert tier1["change"]["wall_quartiles"] == {"median": 27.5, "q1": 27.25, "q3": 28.0}
 
 
-def _fake_pytest(runs):
-    """A stand-in for subprocess.run that records the tier-1 call's working
-    directory and PYTHONPATH and prints pytest's summary line."""
+# tier-1 wall times of the stand-in runs, in each side's run order
+TIER1_WALLS = {"parent": [31.0, 30.5, 29.0], "change": [28.5, 27.5, 27.0]}
+
+
+def _fake_pytest(monkeypatch, runs, summaries=None):
+    """Stand-ins for subprocess.run and the clock: each tier-1 call records its
+    working directory and PYTHONPATH, takes the side's next TIER1_WALLS time
+    and prints pytest's summary line, the next of `summaries` if given."""
+    now = [0.0]
+    walls = {side: iter(values) for side, values in TIER1_WALLS.items()}
+    lines = iter(summaries or ())
+
     def run(cmd, cwd, capture_output, text, env):
         assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
         runs.append((cwd, env["PYTHONPATH"]))
-        stdout = "....F\n=== short test summary info ===\n2 failed, 275 passed in 26.35s\n"
+        wall = next(walls[Path(cwd).name])
+        now[0] += wall
+        summary = next(lines, f"2 failed, 275 passed in {wall}s")
+        stdout = f"....F\n=== short test summary info ===\n{summary}\n"
         return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr="")
-    return run
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=lambda: now[0]))
 
 
 def test_tier1_counts_every_outcome_of_the_summary_line(monkeypatch):
-    def run(cmd, cwd, capture_output, text, env):
-        return subprocess.CompletedProcess(cmd, 1, stdout="1 failed, 3 passed, 2 errors in 0.50s\n")
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
-    got = bench_pairs.tier1({"parent": "p", "change": "c"})["change"]
+    _fake_pytest(monkeypatch, [], ["1 failed, 3 passed, 2 errors in 0.50s"] * 6)
+    got = bench_pairs.tier1({"parent": "parent", "change": "change"})["change"]
     assert {k: got[k] for k in ("failed", "passed", "errors")} == {"failed": 1, "passed": 3,
                                                                    "errors": 2}
+
+
+def test_tier1_refuses_counts_that_differ_between_runs(monkeypatch):
+    # the change's second run (the third run overall) loses a test
+    summaries = ["2 failed, 275 passed in 1s"] * 6
+    summaries[2] = "2 failed, 274 passed in 1s"
+    _fake_pytest(monkeypatch, [], summaries)
+    with pytest.raises(RuntimeError, match="change differ between runs"):
+        bench_pairs.tier1({"parent": "parent", "change": "change"})
 
 
 def test_perfbench_spans_name_live_functions():

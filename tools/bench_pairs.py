@@ -14,8 +14,9 @@ block for one metric; `--trace W` runs workload W traced at seed 0 once per
 side, parent first, and records the per-layer metrics in TRACE_METRICS.
 Then `--workload all --seed 5` runs once per side, parent first, and the
 `seed5` block records its end-to-end values, `correct` and `failed`.  Last,
-the tier-1 tests run once per side, parent first, and the `tier1` block
-records each side's wall time and the counts of pytest's summary line.
+the tier-1 tests run in three alternating pairs, in the same order, and the
+`tier1` block records each run's wall time, each side's quartiles and the
+counts of pytest's summary line, which must not differ between runs of a side.
 """
 
 import argparse
@@ -34,6 +35,9 @@ TRACE_METRICS = ("cli.run_report_s", "linsys.threshold_s", "linsys.self_s",
                  "picard.decompositions_calls", "check.known_defects_open",
                  "trace.overhead_ratio")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# one run per side cannot resolve a change of a few seconds; three pairs give
+# each side quartiles for about three minutes of half-minute runs
+TIER1_PAIRS = 3
 ORDER = "parent first in even-numbered pairs (from 0), change first in odd-numbered pairs"
 
 
@@ -64,12 +68,15 @@ def better(direction, change, parent):
     return change < parent if direction == "lower" else change > parent
 
 
+def pair_order(i):
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def run_pairs(sides, pairs, args):
     """Per side, the list of run documents, run in alternating order."""
     runs = {"parent": [], "change": []}
     for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
+        for side in pair_order(i):
             runs[side].append(bench(sides[side], args))
             print(f"pair {i} {side} done", file=sys.stderr, flush=True)
     return runs
@@ -140,18 +147,30 @@ def seed5(sides, workloads, metrics):
 
 
 def tier1(sides):
-    """One tier-1 run per side, parent first, each with its checkout's src on
-    PYTHONPATH: the wall time and the counts of pytest's summary line."""
+    """TIER1_PAIRS alternating pairs of tier-1 runs, each with its checkout's src
+    on PYTHONPATH: every run's wall time, each side's quartiles, and the counts
+    of pytest's summary line, which must be the same in every run of a side."""
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
-    out = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
-           "note": "one run per side, parent first; wall_s includes interpreter start-up"}
-    for side in ("parent", "change"):
-        start = time.perf_counter()
-        run = subprocess.run([sys.executable, *TIER1], cwd=sides[side], capture_output=True,
-                             text=True, env=dict(os.environ, PYTHONPATH=path))
-        summary = (run.stdout.strip().splitlines() or [""])[-1]
-        out[side] = {"wall_s": round(time.perf_counter() - start, 2), "summary": summary,
-                     **{word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}}
+    out = {"command": "PYTHONPATH=src python " + " ".join(TIER1), "pairs": TIER1_PAIRS,
+           "order": ORDER, "note": "wall_s includes interpreter start-up"}
+    walls = {"parent": [], "change": []}
+    first = {}
+    for i in range(TIER1_PAIRS):
+        for side in pair_order(i):
+            start = time.perf_counter()
+            run = subprocess.run([sys.executable, *TIER1], cwd=sides[side], capture_output=True,
+                                 text=True, env=dict(os.environ, PYTHONPATH=path))
+            walls[side].append(round(time.perf_counter() - start, 2))
+            summary = (run.stdout.strip().splitlines() or [""])[-1]
+            counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
+            if side not in first:
+                first[side] = summary, counts
+            elif counts != first[side][1]:
+                raise RuntimeError(f"tier-1 counts of the {side} differ between runs: "
+                                   f"{first[side][0]!r}, then {summary!r}")
+    for side, (summary, counts) in first.items():
+        out[side] = {"wall_s": walls[side], "wall_quartiles": quartiles(walls[side]),
+                     "summary": summary, **counts}
     return out
 
 
