@@ -16,6 +16,8 @@ from functools import lru_cache
 
 from . import curve
 from .bundle import FiberClass
+# kept as a census name: tests and perfbench's traced spans read it here
+from .curve import decimal_of_fraction  # noqa: F401
 from .errors import BOutOfRange
 from .value import Value
 
@@ -167,18 +169,6 @@ class SqrtQRational(Value):
 
 def sqrtq(q, u, v=0):
     return SqrtQRational(_frac(u), _frac(v), q)
-
-
-def decimal_of_fraction(x, digits):
-    """Floor-rounded decimal string of an exact rational, no binary floats."""
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    x = _frac(x)
-    scale = 10 ** digits
-    total = (x.numerator * scale) // x.denominator
-    sign = "-" if total < 0 else ""
-    whole, frac = divmod(abs(total), scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 def sqrt_power(q, n):

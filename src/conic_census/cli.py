@@ -9,14 +9,13 @@ produced by integer square roots, never binary floats.  --timings adds
 wall-clock data and knowingly gives up byte-determinism.  --jobs is accepted
 for compatibility and has no effect: every count runs in one thread.
 
-Exit codes: 0 success, 2 bad config, 3 refused enumeration (budget exhausted
-or a fiber degree the class lattice cannot represent), 4 internal check
-failed (an engine consistency assertion; one stderr line, no report);
-refusals that strike mid-run leave the finished heights in the report,
-flagged, never truncated.
+Exit codes: 0 success, 2 bad config or command line, 3 refused enumeration
+(budget exhausted or a fiber degree the class lattice cannot represent), 4
+internal check failed (an engine consistency assertion; one stderr line, no
+report); refusals that strike mid-run leave the finished heights in the
+report, flagged, never truncated.
 """
 
-import argparse
 import json
 import math
 import sys
@@ -149,6 +148,11 @@ def _parse_params(doc, task, b, cv):
         v = _need(block, "params", "precision", int, "an integer")
         if v < 1:
             raise ConfigError("params.precision", "must be positive")
+        limit = sys.get_int_max_str_digits()
+        if limit and v > limit:
+            raise ConfigError("params.precision",
+                              f"must be at most {limit}, the most digits Python converts "
+                              f"to a string (sys.get_int_max_str_digits())")
         out["precision"] = v
     if "format" in block:
         v = _need(block, "params", "format", str, "a string")
@@ -353,8 +357,6 @@ def _task_compare(cfg):
 
 
 def _task_zeta(cfg):
-    from . import census
-
     # truncation values are exact rationals with millions of bits by depth 12;
     # reports carry their floor decimals, certified by integer enclosures
     F, cv, prm = cfg.field, cfg.curve, cfg.params
@@ -367,11 +369,11 @@ def _task_zeta(cfg):
         for depth in range(1, ZETA_TRUNC_DEPTH + 1):
             last = curve.zeta_truncated(F, s, depth)
             results["truncations"].append(
-                {"B": depth, "decimal": census.decimal_of_fraction(last.floor_decimal(prec), prec),
+                {"B": depth, "decimal": curve.decimal_of_fraction(last.floor_decimal(prec), prec),
                  "precision": prec})
         gap = last.floor_decimal(gap_prec, closed)
         results["final_gap"] = {
-            "decimal": census.decimal_of_fraction(gap, gap_prec),
+            "decimal": curve.decimal_of_fraction(gap, gap_prec),
             "precision": gap_prec}
     return results, 0
 
@@ -417,39 +419,89 @@ def render_csv(doc):
     return out.getvalue()
 
 
-def _apply_overrides(doc, args):
+def _apply_overrides(doc, opts):
     if not isinstance(doc, dict):
         return doc
-    if args.task is not None:
-        doc["task"] = args.task
+    if "task" in opts:
+        doc["task"] = opts["task"]
     params = doc.setdefault("params", {})
     if isinstance(params, dict):
         for key in ("budget", "precision", "format"):
-            v = getattr(args, key)
-            if v is not None:
-                params[key] = v
+            if key in opts:
+                params[key] = opts[key]
     return doc
 
 
+# each option's value: int, str, a tuple of choices, or None for a flag
+OPTIONS = {
+    "--config": (str, "path to a JSON config document (required)"),
+    "--task": (TASKS, f"override the task ({'/'.join(TASKS)})"),
+    "--format": (FORMATS, f"override the output format ({'/'.join(FORMATS)})"),
+    "--budget": (int, "override the enumeration step budget"),
+    "--precision": (int, "override decimal rendering digits"),
+    "--jobs": (int, "accepted for compatibility; has no effect"),
+    "--timings": (None, "append wall-clock timings (breaks byte-determinism)"),
+}
+USAGE = ("usage: conic-census [-h] --config PATH [--task TASK] [--format FORMAT]\n"
+         "                    [--budget N] [--precision N] [--jobs N] [--timings]\n")
+HELP = USAGE + "".join(
+    ["\nExact constants and exhaustive multisection counts for conic bundles over a\n"
+     "projective line.\n\nOptions take --name VALUE or --name=VALUE; the last one given wins.\n"
+     "  -h, --help     show this help message and exit\n"]
+    + [f"  {name:<13}  {text}\n" for name, (_, text) in OPTIONS.items()])
+
+
+class _UsageError(Exception):
+    """A command line that names no config, an unknown option or a bad value."""
+
+
+def _parse_args(argv):
+    """The options of a command line, keyed by name without dashes; None for --help."""
+    opts = {}
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            return None
+        name, eq, value = arg.partition("=")
+        if name not in OPTIONS:
+            raise _UsageError(f"unrecognized argument: {arg}")
+        kind = OPTIONS[name][0]
+        if kind is None:
+            if eq:
+                raise _UsageError(f"argument {name}: takes no value")
+            opts[name[2:]] = True
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise _UsageError(f"argument {name}: expected one value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid int value: {value!r}")
+        elif kind is not str and value not in kind:
+            raise _UsageError(f"argument {name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kind)})")
+        opts[name[2:]] = value
+    if "config" not in opts:
+        raise _UsageError("the following arguments are required: --config")
+    return opts
+
+
 def main(argv=None):
-    ap = argparse.ArgumentParser(
-        prog="conic-census",
-        description="Exact constants and exhaustive multisection counts for "
-                    "conic bundles over a projective line.")
-    ap.add_argument("--config", required=True, help="path to a JSON config document")
-    ap.add_argument("--task", choices=TASKS, help="override the configured task")
-    ap.add_argument("--format", choices=FORMATS, help="override the output format")
-    ap.add_argument("--budget", type=int, help="override the enumeration step budget")
-    ap.add_argument("--precision", type=int, help="override decimal rendering digits")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; has no effect")
-    ap.add_argument("--timings", action="store_true",
-                    help="append wall-clock timings (breaks byte-determinism)")
-    args = ap.parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        opts = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{USAGE}conic-census: error: {exc}\n")
+        return 2
+    if opts is None:
+        sys.stdout.write(HELP)
+        return 0
+    try:
+        with open(opts["config"], encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error at --config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -458,8 +510,8 @@ def main(argv=None):
         print(f"config error at $: not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(json.dumps(_apply_overrides(doc, args)))
-        report, status = run_report(cfg, with_timings=args.timings)
+        cfg = parse_config(json.dumps(_apply_overrides(doc, opts)))
+        report, status = run_report(cfg, with_timings="timings" in opts)
     except ConfigError as exc:
         print(f"config error at {exc.path}: {exc.reason}", file=sys.stderr)
         return 2

@@ -234,6 +234,21 @@ class EulerEnclosure:
         return Fraction(t.numerator * scale // t.denominator, scale)
 
 
+def decimal_of_fraction(x, digits):
+    """Floor-rounded decimal string of an exact rational, no binary floats."""
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    if isinstance(x, int):
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    scale = 10 ** digits
+    total = (x.numerator * scale) // x.denominator
+    sign = "-" if total < 0 else ""
+    whole, frac = divmod(abs(total), scale)
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
 def zeta_truncated(F, s, B):
     """Enclosure of the partial Euler product of the P1 zeta over closed points of degree <= B.
 

@@ -225,6 +225,76 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_main_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert cli.main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error at --config: ")
+    assert "can't decode byte 0xff" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--task", "zeta"], ["--config", "{cfg}", "--verbose"], ["--config", "{cfg}", "-v"],
+    ["--config", "{cfg}", "--budget", "x"], ["--config", "{cfg}", "--precision=1.5"],
+    ["--config", "{cfg}", "--task", "nope"], ["--config", "{cfg}", "--format=yaml"],
+    ["--config", "{cfg}", "--budget"], ["--config"], ["--config", "--timings"],
+    ["--config", "{cfg}", "--timings=1"], ["--config", "{cfg}", "stray"], ["{cfg}"],
+    ["--conf", "{cfg}"]],
+    ids=["no-config", "only-task", "unknown", "unknown-short", "budget-x", "precision-float",
+         "task-nope", "format-yaml", "budget-no-value", "config-no-value",
+         "config-then-option", "flag-with-value", "stray", "positional", "prefix"])
+def test_main_usage_errors(tmp_path, capsys, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc(TRIVIAL, "zeta", s=2)), encoding="utf-8")
+    assert cli.main([a.replace("{cfg}", str(path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(cli.USAGE)
+    (error,) = captured.err[len(cli.USAGE):].splitlines()
+    assert error.startswith("conic-census: error: ")
+
+
+def test_main_help(capsys):
+    for flag in ("-h", "--help"):
+        assert cli.main(["--config", "unread.json", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.HELP and captured.err == ""
+        assert captured.out.startswith("usage: conic-census ")
+        assert all(name in captured.out for name in cli.OPTIONS)
+
+
+def test_main_option_forms_and_repeats(tmp_path, capsys):
+    document = doc(TRIVIAL, "predict", d=2, e_list=[4])
+    assert run_main(tmp_path, document, "--precision", "4") == 0
+    want = capsys.readouterr().out
+    path = str(tmp_path / "config.json")
+    assert cli.main([f"--config={path}", "--precision=4"]) == 0
+    assert capsys.readouterr().out == want
+    assert cli.main(["--config", path, "--precision", "30", "--precision", "4"]) == 0
+    assert capsys.readouterr().out == want
+    assert cli.main(["--config", "elsewhere.json", "--config", path, "--precision=4"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_main_precision_above_the_string_limit(tmp_path, capsys):
+    # Python converts at most 4300 digits of an int to a string; a predict
+    # report at 4301 digits would raise that conversion error
+    message = ("config error at params.precision: must be at most 4300, the most digits "
+               "Python converts to a string (sys.get_int_max_str_digits())\n")
+    assert err_path(TRIVIAL, "predict", d=2, precision=4301) == "params.precision"
+    assert run_main(tmp_path, doc(TRIVIAL, "predict", d=2, precision=4301)) == 2
+    assert capsys.readouterr().err == message
+    document = doc(TRIVIAL, "predict", d=2)
+    assert run_main(tmp_path, document, "--precision", "4301") == 2
+    assert capsys.readouterr().err == message
+    assert run_main(tmp_path, document, "--precision", "4300") == 0
+    out = json.loads(capsys.readouterr().out)
+    decimal = out["results"]["leading_coeff"]["decimal"]
+    assert decimal.startswith("11.5555") and len(decimal.split(".")[1]) == 4300
+
+
 def test_main_jobs_byte_identity(tmp_path, capsys):
     document = doc(TRIVIAL, "compare", d=2, e_list=[2, 4])
     assert run_main(tmp_path, document, "--jobs", "1") == 0
@@ -415,7 +485,7 @@ LAZY = ("conic_census.census", "conic_census.linsys", "conic_census.picard", "cs
 @pytest.mark.parametrize("document, loaded", [
     (None, []),
     (doc(TRIVIAL, "classify"), []),
-    (doc(TRIVIAL, "zeta", s=2), ["conic_census.census"]),
+    (doc(TRIVIAL, "zeta", s=2), []),
     (doc(TRIVIAL, "compare", d=2, e_list=[2]), list(LAZY[:3]))],
     ids=["import", "classify", "zeta", "compare-json"])
 def test_cli_loads_only_the_engines_its_task_calls(document, loaded):
@@ -430,6 +500,34 @@ def test_cli_loads_only_the_engines_its_task_calls(document, loaded):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.split() == loaded
+
+
+@pytest.mark.parametrize("document", [
+    doc(MIXED, "classify"), doc(TRIVIAL, "predict", d=2, e_list=[4]),
+    doc(MIXED, "enumerate", d=2, e=3), doc(TRIVIAL, "compare", d=2, e_list=[2]),
+    doc(TRIVIAL, "zeta", s=2)], ids=lambda d: d["task"])
+def test_module_run_imports_no_argument_parser(tmp_path, document):
+    # -X importtime lists every module a `python -m conic_census` run imports;
+    # argparse alone costs a spawn about 4 ms, with gettext and locale
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "conic_census",
+                          "--config", str(path)], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    assert json.loads(out.stdout)["task"] == document["task"]
+    imported = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "conic_census.cli" in imported
+    assert not imported & {"argparse", "gettext", "locale"}
+
+
+def test_module_run_usage_error_exits_2():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run([sys.executable, "-m", "conic_census", "--conf", "config.json"],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == cli.USAGE + "conic-census: error: unrecognized argument: --conf\n"
 
 
 @pytest.mark.parametrize("base, params", [

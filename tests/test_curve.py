@@ -151,6 +151,18 @@ def test_zeta_floor_decimals_match_exact_oracle(q):
                 census.decimal_of_fraction(closed - exact, 50))
 
 
+def test_decimal_of_fraction_floors_exact_rationals():
+    # census keeps the name, which tests and perfbench's spans read there
+    assert census.decimal_of_fraction is curve.decimal_of_fraction
+    assert curve.decimal_of_fraction(Fraction(-1, 3), 3) == "-0.334"
+    assert curve.decimal_of_fraction(Fraction(2, 3), 3) == "0.666"
+    assert curve.decimal_of_fraction(7, 2) == "7.00"
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        curve.decimal_of_fraction(0.5, 3)
+    with pytest.raises(ValueError, match="^digits must be positive$"):
+        curve.decimal_of_fraction(Fraction(1, 2), 0)
+
+
 def test_zeta_floor_decimal_on_a_decimal_boundary():
     # x = (9/8)^4 = 1.601806640625 has exactly 12 digits: no enclosure narrower
     # than x itself separates the floors, so the exact branch decides

@@ -79,18 +79,34 @@ def test_pairs_alternate_and_count_the_better_side(monkeypatch, tmp_path):
     assert [Path(cwd).name for cwd, _ in tier1_runs] == [side for side, _ in pairs[:6]]
     assert all(path.split(os.pathsep)[0] == "src" for _, path in tier1_runs)
     tier1 = doc["tier1"]
-    assert tier1["command"] == "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+    assert tier1["command"] == ("PYTHONPATH=src python -m pytest -q "
+                                "--continue-on-collection-errors --durations=10")
     assert tier1["pairs"] == 3 and tier1["order"] == bench_pairs.ORDER
     for side, walls in TIER1_WALLS.items():
         assert tier1[side]["passed"] == 275 and tier1[side]["failed"] == 2
         assert tier1[side]["summary"] == f"2 failed, 275 passed in {walls[0]}s"
         assert tier1[side]["wall_s"] == walls
+        assert tier1[side]["slowest_s"] == [SLOWEST] * 3
         assert tier1[side]["wall_quartiles"] == bench_pairs.quartiles(walls)
     assert tier1["change"]["wall_quartiles"] == {"median": 27.5, "q1": 27.25, "q3": 28.0}
 
 
 # tier-1 wall times of the stand-in runs, in each side's run order
 TIER1_WALLS = {"parent": [31.0, 30.5, 29.0], "change": [28.5, 27.5, 27.0]}
+# pytest's durations section in each stand-in run, and the record read from it
+DURATIONS = """\
+============================= slowest 10 durations =============================
+12.31s call     tests/test_acceptance.py::test_10_zeta_truncation_gap
+2.05s setup    tests/test_linsys.py::test_scan[F3 l=1]
+0.50s call     tests/test_linsys.py::test_scan[F3 l=1]
+0.01s teardown tests/test_cli.py::test_main_help
+
+(6 durations < 0.005s hidden.  Use -vv to show these durations.)
+"""
+SLOWEST = {"tests/test_acceptance.py::test_10_zeta_truncation_gap": 12.31,
+           "tests/test_linsys.py::test_scan[F3 l=1] (setup)": 2.05,
+           "tests/test_linsys.py::test_scan[F3 l=1]": 0.5,
+           "tests/test_cli.py::test_main_help (teardown)": 0.01}
 
 
 def _fake_pytest(monkeypatch, runs, summaries=None):
@@ -102,12 +118,13 @@ def _fake_pytest(monkeypatch, runs, summaries=None):
     lines = iter(summaries or ())
 
     def run(cmd, cwd, capture_output, text, env):
-        assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+        assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors",
+                           "--durations=10"]
         runs.append((cwd, env["PYTHONPATH"]))
         wall = next(walls[Path(cwd).name])
         now[0] += wall
         summary = next(lines, f"2 failed, 275 passed in {wall}s")
-        stdout = f"....F\n=== short test summary info ===\n{summary}\n"
+        stdout = f"....F\n{DURATIONS}=== short test summary info ===\n{summary}\n"
         return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
@@ -119,6 +136,15 @@ def test_tier1_counts_every_outcome_of_the_summary_line(monkeypatch):
     got = bench_pairs.tier1({"parent": "parent", "change": "change"})["change"]
     assert {k: got[k] for k in ("failed", "passed", "errors")} == {"failed": 1, "passed": 3,
                                                                    "errors": 2}
+
+
+def test_slowest_reads_only_the_durations_section():
+    assert bench_pairs.slowest(f"..\n{DURATIONS}1 passed in 0.02s\n") == SLOWEST
+    # the summary line right after the section ends it, as does a missing section
+    last = "0.20s call     tests/test_a.py::test_b\n2 failed, 275 passed in 9.10s\n"
+    assert bench_pairs.slowest("= slowest 10 durations =\n" + last) == {
+        "tests/test_a.py::test_b": 0.2}
+    assert bench_pairs.slowest(last) == {}
 
 
 def test_tier1_refuses_counts_that_differ_between_runs(monkeypatch):

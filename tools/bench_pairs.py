@@ -15,8 +15,9 @@ side, parent first, and records the per-layer metrics in TRACE_METRICS.
 Then `--workload all --seed 5` runs once per side, parent first, and the
 `seed5` block records its end-to-end values, `correct` and `failed`.  Last,
 the tier-1 tests run in three alternating pairs, in the same order, and the
-`tier1` block records each run's wall time, each side's quartiles and the
-counts of pytest's summary line, which must not differ between runs of a side.
+`tier1` block records each run's wall time and ten slowest tests, each side's
+quartiles and the counts of pytest's summary line, which must not differ
+between runs of a side.
 """
 
 import argparse
@@ -34,7 +35,9 @@ TRACE_METRICS = ("cli.run_report_s", "linsys.threshold_s", "linsys.self_s",
                  "linsys.prime_count_s", "picard.self_s", "picard.classes_of_type_calls",
                  "picard.decompositions_calls", "check.known_defects_open",
                  "trace.overhead_ratio")
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
+# one line of pytest's durations section: "0.36s call     tests/x.py::test_y"
+DURATION = re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(.+)$")
 # one run per side cannot resolve a change of a few seconds; three pairs give
 # each side quartiles for about three minutes of half-minute runs
 TIER1_PAIRS = 3
@@ -146,14 +149,33 @@ def seed5(sides, workloads, metrics):
     return out
 
 
+def slowest(stdout):
+    """pytest's durations section as test -> seconds; a setup or teardown
+    phase is named with its test and the phase in brackets."""
+    lines = iter(stdout.splitlines())
+    for line in lines:
+        if " slowest " in line and line.startswith("="):
+            break
+    out = {}
+    for line in lines:
+        m = DURATION.match(line)
+        if not m:
+            break
+        seconds, phase, test = m.groups()
+        out[test if phase == "call" else f"{test} ({phase})"] = float(seconds)
+    return out
+
+
 def tier1(sides):
     """TIER1_PAIRS alternating pairs of tier-1 runs, each with its checkout's src
-    on PYTHONPATH: every run's wall time, each side's quartiles, and the counts
-    of pytest's summary line, which must be the same in every run of a side."""
+    on PYTHONPATH: every run's wall time and ten slowest tests, each side's
+    quartiles, and the counts of pytest's summary line, which must be the same
+    in every run of a side."""
     path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     out = {"command": "PYTHONPATH=src python " + " ".join(TIER1), "pairs": TIER1_PAIRS,
            "order": ORDER, "note": "wall_s includes interpreter start-up"}
     walls = {"parent": [], "change": []}
+    durations = {"parent": [], "change": []}
     first = {}
     for i in range(TIER1_PAIRS):
         for side in pair_order(i):
@@ -161,6 +183,7 @@ def tier1(sides):
             run = subprocess.run([sys.executable, *TIER1], cwd=sides[side], capture_output=True,
                                  text=True, env=dict(os.environ, PYTHONPATH=path))
             walls[side].append(round(time.perf_counter() - start, 2))
+            durations[side].append(slowest(run.stdout))
             summary = (run.stdout.strip().splitlines() or [""])[-1]
             counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
             if side not in first:
@@ -169,8 +192,8 @@ def tier1(sides):
                 raise RuntimeError(f"tier-1 counts of the {side} differ between runs: "
                                    f"{first[side][0]!r}, then {summary!r}")
     for side, (summary, counts) in first.items():
-        out[side] = {"wall_s": walls[side], "wall_quartiles": quartiles(walls[side]),
-                     "summary": summary, **counts}
+        out[side] = {"wall_s": walls[side], "slowest_s": durations[side],
+                     "wall_quartiles": quartiles(walls[side]), "summary": summary, **counts}
     return out
 
 
