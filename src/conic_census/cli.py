@@ -444,11 +444,10 @@ OPTIONS = {
 }
 USAGE = ("usage: conic-census [-h] --config PATH [--task TASK] [--format FORMAT]\n"
          "                    [--budget N] [--precision N] [--jobs N] [--timings]\n")
-HELP = USAGE + "".join(
-    ["\nExact constants and exhaustive multisection counts for conic bundles over a\n"
-     "projective line.\n\nOptions take --name VALUE or --name=VALUE; the last one given wins.\n"
-     "  -h, --help     show this help message and exit\n"]
-    + [f"  {name:<13}  {text}\n" for name, (_, text) in OPTIONS.items()])
+HELP = (USAGE + "\nExact constants and exhaustive multisection counts for conic bundles over a\n"
+        "projective line.\n\nOptions take --name VALUE or --name=VALUE; the last one given wins.\n"
+        "  -h, --help     show this help message and exit\n"
+        + "".join(f"  {name:<13}  {text}\n" for name, (_, text) in OPTIONS.items()))
 
 
 class _UsageError(Exception):
