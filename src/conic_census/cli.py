@@ -64,6 +64,8 @@ def _parse_field(doc):
         q = _need(block, "field", "q", int, "an integer")
         if q < 2:
             raise ConfigError("field.q", "must be a prime power at least 3")
+        if q > gf.MAX_BASE_ORDER:  # before the factor search, which is linear in q
+            raise ConfigError("field", f"q = {q} exceeds the cap {gf.MAX_BASE_ORDER}")
         p = min(f for f in range(2, q + 1) if q % f == 0)
         n = 0
         m = q
@@ -80,6 +82,10 @@ def _parse_field(doc):
         raise ConfigError("field.n", "must be a positive integer")
     if p == 2:
         raise ConfigError("field.p", "characteristic 2 is unsupported")
+    # make_field tests p for primality by trial division and prints p^n; any
+    # p above the cap, or p >= 2 with 2^n above it, gives p^n above the cap
+    if p > gf.MAX_BASE_ORDER or (p > 1 and n > gf.MAX_BASE_ORDER.bit_length()):
+        raise ConfigError("field", f"q = {p}^{n} exceeds the cap {gf.MAX_BASE_ORDER}")
     try:
         return gf.make_field(p, n)
     except NotPrime as exc:

@@ -1,4 +1,4 @@
-"""Section spaces on a conic bundle, component valuations, and exact counts.
+"""Class layouts, dims and exact counts of fiber-free and irreducible members.
 
 One function turns a class into its model data (`_layout`), read from its
 canonical coordinates.  A class D with dprime >= 0 is modelled by the forms in
@@ -15,19 +15,12 @@ monomial-major (graded lex) with ascending t-degree inside each binary form,
 and every basis is kept in reduced row echelon form, so coset
 representatives are canonical.
 
-Vanishing to order k along a fiber component, a line over a split point or a
-whole fiber, has one builder on both layouts (`_ann_rows`): the rows that
-annihilate the k-th power of the component's ideal plus the conic multiples.
-It reduces each coefficient form mod pi, p_P^k over F for a fiber and the
-place's linear form to the k-th over kappa(P) for a line, and eliminates in
-|monos| deg pi columns whatever the coefficient degree.  Condition rows,
-containment rows and multiplicities all read it.
-
-Dims, component pools and proportions read ranks from one echelon of a
-class's condition rows (`_conditions`), empty on l = 0; only `section_space`
-builds a basis (`_basis`).  The echelon of a class's lines is a copy of the
-memoized one of all its lines but the last, which every class with that
-prefix shares, plus the last block.  Dims have one memo, keyed on canonical
+The later stages live in modules of their own, each loaded by the first class
+that reaches it: the condition rows of a class with lines (`conditions`), the
+subset sum over the component pool (`pool`), and the section API, multiplicities
+and proportions, which no count reads (`sections`).  Dims read ranks from one
+echelon of a class's condition rows, and a class with no lines, every class on
+l = 0, has all of its columns.  Dims have one memo, keyed on canonical
 coordinates (`_dim_at`) and read with no class built; above a per-(dp, cs)
 threshold (`_a0`) it is chi, and the threshold scan reads that table alone.
 
@@ -51,72 +44,21 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress, count
 
-from . import curve, picard
-from .bundle import BinaryForm, FiberClass, bf_mul, fiber_lines, point_form
-from .errors import (EmptySpace, EnumerationBudgetExceeded, NotASplitFiber,
-                     OddDegreeUnsupported, ZeroSection)
-from .value import Value
+from . import picard
+from .bundle import fiber_lines
+from .errors import EmptySpace, EnumerationBudgetExceeded, OddDegreeUnsupported
 
 DEFAULT_BUDGET = 10 ** 8
 
 
-# --- linear algebra over a field object ---
-
-
-def _reduce_vec(F, ech, piv, v):
-    for row, pc in zip(ech, piv):
-        c = v[pc]
-        if c != F.zero:
-            v = F.sub_scaled(v, c, row)
-    return v
-
-
-def _append_row(F, ech, piv, row):
-    """Append a row, reduced and scaled to 1 at its pivot, to a semi-echelon
-    basis in place; False when it reduces to zero.  Earlier rows are untouched."""
-    row = _reduce_vec(F, ech, piv, row)
-    lead = next((i for i, c in enumerate(row) if c != F.zero), None)
-    if lead is None:
-        return False
-    ech.append(F.scaled(F.inv(row[lead]), row))
-    piv.append(lead)
-    return True
-
-
-def _rref(F, rows):
-    """Reduced row echelon form; returns (rows, pivots) with zero rows dropped."""
-    ech, piv = [], []
-    for row in rows:
-        if _append_row(F, ech, piv, row):
-            for i, r in enumerate(ech[:-1]):  # clear the new pivot from earlier rows
-                if r[piv[-1]] != F.zero:
-                    ech[i] = F.sub_scaled(r, r[piv[-1]], ech[-1])
-    order = sorted(range(len(piv)), key=lambda i: piv[i])
-    return [ech[i] for i in order], [piv[i] for i in order]
-
-
-def _nullspace(F, rows, n):
-    """Basis of the joint kernel of the rows, echelonized over the free columns."""
-    ech, piv = _rref(F, rows)
-    pivset = set(piv)
-    out = []
-    for j in range(n):
-        if j in pivset:
-            continue
-        v = [F.zero] * n
-        v[j] = F.one
-        for row, pc in zip(ech, piv):
-            v[pc] = F.neg(row[j])
-        out.append(v)
-    return out
-
-
-def _dot(F, row, vec):
-    out = zero = F.zero
-    for a, b in zip(row, vec):
-        if b != zero and a != zero:
-            out = F.add(out, F.mul(a, b))
-    return out
+def __getattr__(name):
+    # perfbench traces `linsys.section_space` by name, so that one name still
+    # resolves here; the section API lives in `sections`, which counting runs
+    # never load.  Every other missing name is an AttributeError as usual
+    if name == "section_space":
+        from . import sections
+        return sections.section_space
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- ambient layout ---
@@ -189,19 +131,6 @@ def _lines(a, parts):
     return A, tuple((P, "Ep" if c > 0 else "E", abs(c)) for P, c in parts)
 
 
-def _basis(b, D):
-    """The sections of O(D) in rref on the flat layout of (dp, A): the kernel of
-    `_conditions`, zero at the conic multiples' pivots."""
-    F = b.field
-    dp, A, _ = _layout(b, D)
-    cols, ech, _ = _conditions(b, D)
-    at = {j: i for i, j in enumerate(cols)}
-    N = len(_monos(b, dp)) * (A + 1)  # negative, so no column, when A < 0
-    kernel = [[v[at[j]] if j in at else F.zero for j in range(N)]
-              for v in _nullspace(F, ech, len(cols))]
-    return _rref(F, kernel)[0]
-
-
 def _dim(b, D):
     """The dim of H^0(D), read from ranks without building a basis: `_dim_at`
     of its canonical coordinates, once `_layout` has admitted the class."""
@@ -221,9 +150,13 @@ def _dim_at(b, dp, a, cs):
 
 
 def _echelon_dim(b, dp, a, cs):
-    """`_cols` less the rank of the condition echelon, so on l = 0 every column."""
+    """`_cols` less the rank of the condition echelon, so on l = 0 every column.
+    Only a class with lines has condition rows, so only it loads `conditions`."""
     A, lines = _lines(a, [(P, c) for P, c in zip(b.split_points, cs) if c])
-    return len(_cols(b, dp, A)) - len(_echelon(b, dp, A, lines)[0])
+    if not lines:
+        return len(_cols(b, dp, A))
+    from . import conditions
+    return len(_cols(b, dp, A)) - len(conditions._echelon(b, dp, A, lines)[0])
 
 
 def _chi(b, dp, a, cs):
@@ -265,339 +198,6 @@ def _cols(b, dp, A):
     if len(leads) != len(zrows):
         raise AssertionError("two conic multiples lead at one column")
     return tuple(j for j in range(len(_monos(b, dp)) * (A + 1)) if j not in leads)
-
-
-def _conditions(b, D):
-    """(cols, ech, piv): the condition rows of a class, one block per line of
-    its `_layout`, restricted to `_cols`, in one semi-echelon basis
-    (`_append_row`); none on l = 0.  H^0(D) is their kernel there, so its dim
-    is len(cols) - len(ech).  The rows and pivots are those of appending
-    every block in turn to one basis (`_echelon`)."""
-    dp, A, lines = _layout(b, D)
-    return (_cols(b, dp, A), *_echelon(b, dp, A, lines))
-
-
-def _echelon(b, dp, A, lines):
-    """(ech, piv) of the condition blocks of `lines` in order, as new lists:
-    the memoized echelon of lines[:-1] with the last block appended.  An
-    appended row is never changed, so the copy shares the rows."""
-    if not lines:
-        return [], []
-    ech, piv = map(list, _prefix_echelon(b, dp, A, lines[:-1]))
-    for row in _line_rows_on_cols(b, dp, A, *lines[-1]):
-        _append_row(b.field, ech, piv, row)
-    return ech, piv
-
-
-@lru_cache(maxsize=None)
-def _prefix_echelon(b, dp, A, lines):
-    """`_echelon` of a proper prefix of a class's lines, which classes of one
-    (dp, A) share; a class's full echelon is not kept."""
-    ech, piv = _echelon(b, dp, A, lines)
-    return tuple(ech), tuple(piv)
-
-
-# --- vanishing rows over residue fields ---
-
-
-@lru_cache(maxsize=None)
-def _ann_rows(b, dp, A, P, side, level):
-    """Rows over F, in rref, whose joint kernel in the layout of (dp, A) is
-    (component ideal)^level plus the conic multiples.
-
-    A full fiber's ideal is (p_P), taken over F.  A line's is (p, L) at one
-    place of kappa(P), p that place's linear form and L the line, since p_P
-    itself would also pin the conjugate lines; its annihilator over kappa(P)
-    gives one row per coordinate of kappa(P) over F.
-
-    With pi = p_P^level or p^level, R reduces each coefficient form mod pi,
-    into the sum over the monomials of K[u]/(pi).  Its kernel, pi times the
-    forms of degree A - deg pi, is a full fiber's ideal I and the p^level
-    generators of a line's, so ker R lies in I, and the rows killing I plus the
-    conic multiples Z are psi o R for the psi killing R(I) + R(Z)."""
-    F = b.field
-    monos = _monos(b, dp)
-    if A < 0 or not monos or level < 1:
-        return ()
-    if side == "full":
-        K = F
-        pi = BinaryForm(0, (F.one,))
-        for _ in range(level):
-            pi = bf_mul(F, pi, point_form(F, P))
-        # (multiplier form, spots) of the generators off the kernel of R: none
-        terms = []
-    else:
-        line = fiber_lines(b, P)[0 if side == "E" else 1]
-        K = curve.residue_field(F, P)
-        if P.degree == 1:
-            pf = point_form(F, P)
-        else:
-            theta = curve.residue_of_poly(F, P, (F.zero, F.one))
-            pf = BinaryForm(1, (K.neg(theta), K.one))
-        powers = [BinaryForm(0, (K.one,))]
-        for _ in range(level):
-            powers.append(bf_mul(K, powers[-1], pf))
-        pi = powers[-1]
-        lvec = {(1, 0, 0): line[0], (0, 1, 0): line[1], (0, 0, 1): line[2]}
-        lpow = [{(0, 0, 0): K.one}]
-        for _ in range(level):
-            nxt = {}
-            for mm, cm in lpow[-1].items():
-                for mv, cv in lvec.items():
-                    if cv == K.zero or cm == K.zero:
-                        continue
-                    MM = (mm[0] + mv[0], mm[1] + mv[1], mm[2] + mv[2])
-                    nxt[MM] = K.add(nxt.get(MM, K.zero), K.mul(cm, cv))
-            lpow.append(nxt)
-        midx = {mm: i for i, mm in enumerate(monos)}
-        # p^i L^(level - i) times every monomial of degree dp - (level - i);
-        # i = level spans the kernel of R and is left out
-        terms = [(powers[i], [tuple((midx[(mc[0] + ml[0], mc[1] + ml[1], mc[2] + ml[2])], cl)
-                                    for ml, cl in lpow[level - i].items())
-                              for mc in monomial_basis(dp - level + i)])
-                 for i in range(level)]
-    # res[tau] is t^tau s^(A - tau) mod pi in the chart where pi is monic: u = t
-    # at a finite point, u = s (exponent A - tau) at infinity.  nres holds
-    # -res, so v + c res[tau] is K.sub_scaled(v, c, nres[tau])
-    n, width = pi.degree, len(monos) * pi.degree
-    mod = pi.coeffs[::-1] if P.is_infinity else pi.coeffs
-    upow = [[K.one] + [K.zero] * (n - 1)]
-    for _ in range(A):
-        upow.append(K.sub_scaled([K.zero] + upow[-1][:-1], upow[-1][-1], mod))
-    nres = [[K.neg(x) for x in r] for r in (upow[::-1] if P.is_infinity else upow)]
-    S = []
-    for f, spots in terms:
-        # R(f t^tau s^(...)) is f u^x mod pi, x the cofactor's exponent in u;
-        # f divides pi, so x < n - deg f spans them all and needs no reduction
-        chart = list(f.coeffs[::-1] if P.is_infinity else f.coeffs)
-        for x in range(min(A, n - 1) - f.degree + 1):
-            beta = [K.zero] * x + chart + [K.zero] * (n - 1 - f.degree - x)
-            for spot in spots:
-                row = [K.zero] * width
-                for m, cl in spot:
-                    row[m * n:(m + 1) * n] = K.scaled(cl, beta)
-                S.append(row)
-    emb = (lambda c: c) if K is F else K.embed
-    zrows = _z_source_rows(b, dp, A)
-    for z in zrows:
-        row = [K.zero] * width
-        for j in compress(range(len(z)), z):  # the nonzero entries: F's zero is 0
-            m, tau = divmod(j, A + 1)
-            row[m * n:(m + 1) * n] = K.sub_scaled(row[m * n:(m + 1) * n], emb(z[j]), nres[tau])
-        S.append(row)
-    # y = psi o R by monomial blocks: a block is sum_j psi_j (column j of res)
-    ncols, ann = list(zip(*nres)), []
-    for psi in _nullspace(K, S, width):
-        y = []
-        for m in range(len(monos)):
-            blk = [K.zero] * (A + 1)
-            for j, c in enumerate(psi[m * n:(m + 1) * n]):
-                if c != K.zero:
-                    blk = K.sub_scaled(blk, c, ncols[j])
-            y += blk
-        ann.append(y)
-    if K is not F:
-        ann = [[c[sig] for c in y] for y in ann for sig in range(P.degree)]
-    ech, _ = _rref(F, ann)
-    # `_conditions` and the pool read these rows on `_cols` only
-    if any(_dot(F, r, z) != F.zero for r in ech for z in zrows):
-        raise AssertionError("conic multiples escaped the condition kernel")
-    return tuple(tuple(r) for r in ech)
-
-
-@lru_cache(maxsize=None)
-def _line_rows_on_cols(b, dp, A, P, side, level):
-    """`_ann_rows` of a line restricted to `_cols`, once per cached block."""
-    return tuple([r[j] for j in _cols(b, dp, A)] for r in _ann_rows(b, dp, A, P, side, level))
-
-
-# --- sections ---
-
-
-class Section(Value):
-    __slots__ = _fields = ("cls", "ambient_coeffs")
-
-    def __init__(self, cls, ambient_coeffs):
-        self._init(cls, ambient_coeffs)
-
-
-class SectionSpace(Value):
-    __slots__ = _fields = ("cls", "basis", "dim")
-
-    def __init__(self, cls, basis, dim):
-        self._init(cls, basis, dim)
-
-
-def section_space(b, D):
-    """Basis of the sections of O(D) as canonical ambient representatives."""
-    D = picard.normalize(b, D)
-    dp, A, _ = _layout(b, D)
-    monos = _monos(b, dp)
-    sections = tuple(Section(D, {m: BinaryForm(A, tuple(v[i * (A + 1):(i + 1) * (A + 1)]))
-                                 for i, m in enumerate(monos)})
-                     for v in _basis(b, D))
-    return SectionSpace(D, sections, len(sections))
-
-
-# --- component multiplicities ---
-
-
-def component_multiplicity(b, s, P, side):
-    """Largest power of the named component ideal containing the section."""
-    F = b.field
-    dp, A, _ = _layout(b, s.cls)
-    monos = _monos(b, dp)
-    midx = {m: i for i, m in enumerate(monos)}
-    flat = [F.zero] * (len(monos) * (A + 1))
-    for m, form in s.ambient_coeffs.items():
-        if m not in midx or form.degree != A:
-            raise ValueError(f"a coefficient at {m} of degree {form.degree} is outside "
-                             f"the layout of monomials {monos} in degree {A}")
-        flat[midx[m] * (A + 1):(midx[m] + 1) * (A + 1)] = form.coeffs
-    # a multiple of the conic is the zero section on X
-    zrows = _z_source_rows(b, dp, A)
-    if all(c == F.zero for c in _reduce_vec(F, *_rref(F, zrows), flat)):
-        raise ZeroSection("the zero section has no divisor")
-    guard = dp + A + 2
-    k = 0
-    while k <= guard:
-        if any(_dot(F, r, flat) != F.zero for r in _ann_rows(b, dp, A, P, side, k + 1)):
-            return k
-        k += 1
-    raise AssertionError("valuation loop failed to terminate")
-
-
-# --- component sets and sieve proportions ---
-
-
-class ComponentSet(Value):
-    __slots__ = _fields = ("elements", "height")
-
-    def __init__(self, elements, height):
-        self._init(elements, height)
-
-
-def component_set(b, items):
-    """Validated set of fiber components; side is 'E', 'Ep' or 'full'."""
-    F = b.field
-    seen = set()
-    elems = []
-    height = 0
-    for P, side in items:
-        sf = b.singular_fiber_at(P)
-        split = sf is not None and sf.fiber_class is FiberClass.SPLIT_PAIR
-        if side in ("E", "Ep"):
-            if not split:
-                raise NotASplitFiber(
-                    f"no split fiber at {curve.point_str(F, P)}")
-            height += P.degree
-        elif side == "full":
-            height += 2 * P.degree
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        key = (P, side)
-        if key in seen:
-            raise ValueError("duplicate component")
-        seen.add(key)
-        elems.append(key)
-    elems.sort(key=lambda e: (curve.point_sort_key(F, e[0]), e[1]))
-    return ComponentSet(tuple(elems), height)
-
-
-def _containment_rows(b, D, P, side):
-    """Flat rows expressing that the member divisor contains the component; a
-    full fiber over a split point is both its lines, and a line asks one order
-    above the one the class's `_layout` already forces there."""
-    dp, A, lines = _layout(b, D)
-    if side == "full" and P not in b.split_points:
-        return _ann_rows(b, dp, A, P, "full", 1)
-    forced = {(Q, ls): c for Q, ls, c in lines}
-    return [row for ls in (("E", "Ep") if side == "full" else (side,))
-            for row in _ann_rows(b, dp, A, P, ls, forced.get((P, ls), 0) + 1)]
-
-
-def _on_coords(b, D, blocks):
-    """Blocks of `_containment_rows` as functionals on the dim coordinates of
-    H^0(D), each in rref.  A row, fixed by its entries on `_cols`, is reduced
-    by `_conditions` and read off the condition pivots, so its rank on H^0(D)
-    is rank(conditions and rows) - rank(conditions)."""
-    F = b.field
-    cols, ech, piv = _conditions(b, D)
-    keep = [j for j in range(len(cols)) if j not in piv]
-    blocks = [[[row[j] for j in keep]
-               for row in (_reduce_vec(F, ech, piv, [r[c] for c in cols]) for r in blk)]
-              for blk in blocks]
-    return [[tuple(r) for r in _rref(F, blk)[0]] for blk in blocks]
-
-
-def proportion_exact(b, D, S):
-    """Share of sections whose member divisor contains every component of S."""
-    rows = [row for P, side in S.elements for row in _containment_rows(b, D, P, side)]
-    return Fraction(1, b.field.order ** len(_on_coords(b, D, [rows])[0]))
-
-
-def proportion_product(b, D, S):
-    """Independence heuristic for the same event, one exponent per component;
-    it refuses a class through `_layout`, as `proportion_exact` does."""
-    _layout(b, D)
-    d, _ = picard.type_of(b, D)
-    expo = 0
-    for P, side in S.elements:
-        if side == "full":
-            singular = b.singular_fiber_at(P) is not None
-            expo += P.degree * ((d + 2) if singular else (d + 1))
-        else:
-            dP = picard.intersect(b, D, picard.component_class(P, side)) // P.degree
-            expo += P.degree * (dP + 1)
-    return Fraction(1, b.field.order ** expo)
-
-
-# --- inclusion-exclusion over component subsets ---
-
-
-def _component_pool(b, D):
-    """Containment row blocks, on the dim coordinates of `_on_coords`, for every
-    component a member of |D| could contain."""
-    F = b.field
-    _, e = picard.type_of(b, D)
-    catalog = {sf.point for sf in b.singular}
-    components = [(P, ls) for P in b.split_points for ls in ("E", "Ep")]
-    components += [(sf.point, "full") for sf in b.singular
-                   if sf.fiber_class is not FiberClass.SPLIT_PAIR]
-    components += [(P, "full") for P in curve.closed_points_up_to(F, max(e // 2, 0))
-                   if P not in catalog]
-    return _on_coords(b, D, [_containment_rows(b, D, P, side) for P, side in components])
-
-
-def _tri_count(F, pool, n):
-    """Fiber-free member count of an n-dimensional model by signed sums over
-    subsets of its component pool; a subset S adds (-1)^|S| (q^(n - rank S) - 1).
-
-    Only the rank is read, so a node keeps a semi-echelon basis: each row is 1
-    at its pivot and 0 at earlier rows' pivots, so reducing in insertion order
-    is exact, and rows never change, so a child copies only the list.  A spanning
-    subset and all its supersets add 0."""
-    if n == 0 or not all(pool):
-        return 0  # every member contains the component of an empty block
-    q = F.order
-    total = 0
-
-    def rec(start, ech, piv, sign):
-        nonlocal total
-        total += sign * (q ** (n - len(ech)) - 1)
-        for jj in range(start, len(pool)):
-            ech2, piv2 = list(ech), list(piv)
-            for row in pool[jj]:
-                _append_row(F, ech2, piv2, row)
-                if len(ech2) == n:
-                    break
-            else:
-                rec(jj + 1, ech2, piv2, -sign)
-
-    rec(0, [], [], 1)
-    if total % (q - 1):
-        raise AssertionError("subset sum is not divisible by the scalar count")
-    return total // (q - 1)
 
 
 # --- fiber-free counting ---
@@ -684,8 +284,9 @@ def _fiberfree(b, dp, a, cs):
     disagree on some of those classes (ROADMAP item 2), and reports freeze the
     pool's values."""
     if b.l and dp >= 2:
+        from . import pool
         D = picard.from_coords(b, (dp, a, cs))
-        return _tri_count(b.field, _component_pool(b, D), _dim_at(b, dp, a, cs))
+        return pool._tri_count(b.field, pool._component_pool(b, D), _dim_at(b, dp, a, cs))
     return _sieve(b, dp, a, cs)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import eq, mul
 
-from conic_census import census, curve, gf, linsys, picard
+from conic_census import census, conditions, curve, gf, linsys, picard
 from conic_census.bundle import BinaryForm, bf_mul, fiber_lines, point_form
 from conic_census.errors import OutsideConvergenceRegion
 
@@ -94,11 +94,11 @@ def ambient_basis(b, D):
     D = picard.normalize(b, D)
     A = D.a + sum(c * P.degree for P, _, c in D.parts)
     N = len(linsys.monomial_basis(D.dprime)) * (A + 1) if A >= 0 else 0
-    zech, zpiv = linsys._rref(F, z_source_rows(b, D.dprime, A))
+    zech, zpiv = conditions._rref(F, z_source_rows(b, D.dprime, A))
     cond = [row for P, side, c in D.parts
-            for row in linsys._ann_rows(b, D.dprime, A, P, "Ep" if side == "E" else "E", c)]
-    kernel = linsys._nullspace(F, cond, N)
-    basis, _ = linsys._rref(F, [linsys._reduce_vec(F, zech, zpiv, v) for v in kernel])
+            for row in conditions._ann_rows(b, D.dprime, A, P, "Ep" if side == "E" else "E", c)]
+    kernel = conditions._nullspace(F, cond, N)
+    basis, _ = conditions._rref(F, [conditions._reduce_vec(F, zech, zpiv, v) for v in kernel])
     return tuple(tuple(r) for r in basis)
 
 
@@ -114,7 +114,7 @@ def ruled_basis(b, D):
 def full_ann_rows(b, dp, A, P, level):
     """Rows whose joint kernel is p_P^level multiples plus conic multiples, on
     the ambient layout of (dp, A) for every l: the reference for
-    `linsys._ann_rows` on a full fiber."""
+    `conditions._ann_rows` on a full fiber."""
     F = b.field
     monos = linsys.monomial_basis(dp)
     midx = {mm: i for i, mm in enumerate(monos)}
@@ -136,15 +136,15 @@ def full_ann_rows(b, dp, A, P, level):
                     if cf != F.zero:
                         row[base + tau + k] = cf
                 gens.append(row)
-    ann = linsys._nullspace(F, gens, N)
-    ech, _ = linsys._rref(F, ann)
+    ann = conditions._nullspace(F, gens, N)
+    ech, _ = conditions._rref(F, ann)
     return tuple(tuple(r) for r in ech)
 
 
 def global_ann_rows(b, dp, A, P, side, level):
     """Rows over F, in rref, whose joint kernel in the layout of (dp, A) is
     (component ideal)^level plus the conic multiples, from one nullspace in
-    all N = |monos|(A + 1) columns: the reference for `linsys._ann_rows`,
+    all N = |monos|(A + 1) columns: the reference for `conditions._ann_rows`,
     full fibers and lines alike.
 
     A full fiber's ideal is (p_P), taken over F.  A line's is (p, L) at one
@@ -205,11 +205,11 @@ def global_ann_rows(b, dp, A, P, side, level):
                         if cf != K.zero:
                             row[base + k] = K.add(row[base + k], K.mul(cl, cf))
                 gens.append(row)
-    ann = linsys._nullspace(K, gens, N)
+    ann = conditions._nullspace(K, gens, N)
     if K is not F:
         ann = [[c[sig] for c in y] for y in ann for sig in range(P.degree)]
-    ech, _ = linsys._rref(F, ann)
-    if any(linsys._dot(F, r, z) != F.zero for r in ech for z in zrows):
+    ech, _ = conditions._rref(F, ann)
+    if any(conditions._dot(F, r, z) != F.zero for r in ech for z in zrows):
         raise AssertionError("conic multiples escaped the condition kernel")
     return tuple(tuple(r) for r in ech)
 
@@ -217,7 +217,7 @@ def global_ann_rows(b, dp, A, P, side, level):
 def param_full_rows(b, D, P):
     """Coefficient-divisibility rows for a full fiber on the ruled l = 0 layout
     of D: every coefficient form reduces to 0 in kappa(P), or has no s^A term
-    at infinity.  The reference for `linsys._ann_rows` there."""
+    at infinity.  The reference for `conditions._ann_rows` there."""
     F = b.field
     delta, e = picard.type_of(b, D)
     A = e // 2
@@ -259,7 +259,7 @@ def binary_val(F, form, P):
 
 def rows_on_basis(F, rows, basis):
     """Rows as functionals on the span of a basis, in its coordinates, in rref."""
-    ech, _ = linsys._rref(F, [[linsys._dot(F, row, v) for v in basis] for row in rows])
+    ech, _ = conditions._rref(F, [[conditions._dot(F, row, v) for v in basis] for row in rows])
     return [tuple(r) for r in ech]
 
 
@@ -315,13 +315,13 @@ def scan_threshold_by_classes(b, cv, d):
 
 
 def conditions_from_scratch(b, D):
-    """`linsys._conditions` with every block of the class appended in turn to
+    """`conditions._conditions` with every block of the class appended in turn to
     one new semi-echelon basis: no prefix echelon is read."""
     dp, A, lines = linsys._layout(b, D)
     ech, piv = [], []
     for P, side, c in lines:
-        for row in linsys._line_rows_on_cols(b, dp, A, P, side, c):
-            linsys._append_row(b.field, ech, piv, row)
+        for row in conditions._line_rows_on_cols(b, dp, A, P, side, c):
+            conditions._append_row(b.field, ech, piv, row)
     return linsys._cols(b, dp, A), ech, piv
 
 

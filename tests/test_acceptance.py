@@ -7,12 +7,13 @@ import time
 from fractions import Fraction
 
 import oracles
-from conic_census import census, cli, curve, gf, linsys, picard
+from conic_census import census, cli, curve, gf, linsys, picard, sections
+from conic_census import pool as subset_sum  # the tests name their pools `pool`
 from conic_census.bundle import FiberClass, validate_bundle
 from conic_census.census import sqrt_power, sqrtq
 from conic_census.curve import P1_CURVE, CurveDescriptor
 from conic_census.errors import NonReducedFiber, SingularTotalSpace
-from conic_census.linsys import component_set, section_space
+from conic_census.sections import component_set, section_space
 from conic_census.picard import CLASS_F, CLASS_H, classes_of_type, component_class, intersect
 
 F3 = gf.make_field(3)
@@ -158,8 +159,8 @@ def test_04_sieve_proportions_exact_in_window():
                 dim = section_space(b, D).dim
                 rank = condition_rank(b, D, S)
                 assert rank <= dim, "restriction to S is not surjective"
-                exact = linsys.proportion_exact(b, D, S)
-                product = linsys.proportion_product(b, D, S)
+                exact = sections.proportion_exact(b, D, S)
+                product = sections.proportion_product(b, D, S)
                 defect = glue_defect(b, S)
                 assert exact == Fraction(1, q ** rank)
                 assert product * q ** defect == Fraction(1, q ** rank)
@@ -197,7 +198,7 @@ def test_05_direct_scan_matches_inclusion_exclusion():
                 def add_terms(start, items, height):
                     nonlocal total
                     S = component_set(b, items)
-                    ker = q ** dim * linsys.proportion_exact(b, D, S)
+                    ker = q ** dim * sections.proportion_exact(b, D, S)
                     assert ker.denominator == 1
                     total += (-1) ** len(items) * (int(ker) - 1)
                     for j in range(start, len(universe)):
@@ -207,7 +208,7 @@ def test_05_direct_scan_matches_inclusion_exclusion():
                 add_terms(0, [], 0)
                 assert total % (q - 1) == 0
                 # the direct scan: every member of the class
-                pool = linsys._component_pool(b, D)
+                pool = subset_sum._component_pool(b, D)
                 scan = oracles.scan_fiberfree(b.field, pool, dim)
                 assert scan == linsys.fiberfree_count(b, D) == total // (q - 1), (b.l, e, D)
                 checked += 1

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 import oracles
-from conic_census import bundle, census, curve, gf, linsys, picard
+from conic_census import bundle, census, curve, gf, linsys, numberfield, picard
 from conic_census.census import SqrtQRational, sqrtq
 from conic_census.errors import BOutOfRange
 
@@ -227,41 +227,41 @@ def _nf(**kw):
                 roots_of_unity=2, zeta_at=1.2020569031595942854, vr=2.5,
                 vc=1.7, hx=1, primes1=(), primes2=())
     base.update(kw)
-    return census.NumberFieldInputs(**base)
+    return numberfield.NumberFieldInputs(**base)
 
 
 def test_number_field_no_primes_shape():
     with mpmath.workdps(40):
-        got = census.number_field_leading(_nf(), 2)
+        got = numberfield.number_field_leading(_nf(), 2)
         want = 2 * mpmath.mpf(2.5) * (2 ** 3) / (2 * mpmath.mpf(1.2020569031595942854))
         assert mpmath.almosteq(got, want)
-        complex_place = census.number_field_leading(_nf(r=0, s=1, disc_norm=4), 2)
+        complex_place = numberfield.number_field_leading(_nf(r=0, s=1, disc_norm=4), 2)
         want = 2 * mpmath.mpf(1.7) * ((2 * mpmath.pi / 2) ** 3) / (2 * mpmath.mpf(1.2020569031595942854))
         assert mpmath.almosteq(complex_place, want)
 
 
 def test_number_field_k_matches_function_field_value():
     with mpmath.workdps(50):
-        k = census.number_field_k(_nf(primes2=(3,)), 2)
+        k = numberfield.number_field_k(_nf(primes2=(3,)), 2)
         exact = census.k_const_catalog(3, 2, (), (1,))
         want = mpmath.mpf(32) / 39 + mpmath.mpf(4) / 9 * mpmath.sqrt(3)
         assert exact == sqrtq(3, Fraction(32, 39), Fraction(4, 9))
         assert mpmath.almosteq(k, want)
-        split_free = census.number_field_k(_nf(primes1=(3,)), 2)
+        split_free = numberfield.number_field_k(_nf(primes1=(3,)), 2)
         assert mpmath.almosteq(split_free, mpmath.mpf(80) / 81 / (mpmath.mpf(26) / 27))
 
 
 def test_number_field_class_number_scaling():
     with mpmath.workdps(30):
-        one = census.number_field_leading(_nf(), 2)
-        two = census.number_field_leading(_nf(hx=2), 2)
+        one = numberfield.number_field_leading(_nf(), 2)
+        two = numberfield.number_field_leading(_nf(hx=2), 2)
         assert mpmath.almosteq(two, one / 8)
 
 
 def test_number_field_validation():
     with pytest.raises(ValueError):
-        census.number_field_leading(_nf(zeta_at=0), 2)
+        numberfield.number_field_leading(_nf(zeta_at=0), 2)
     with pytest.raises(ValueError):
-        census.number_field_leading(_nf(regulator=-1.0), 2)
+        numberfield.number_field_leading(_nf(regulator=-1.0), 2)
     with pytest.raises(ValueError):
-        census.number_field_leading(_nf(), 3)
+        numberfield.number_field_leading(_nf(), 3)

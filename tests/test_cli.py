@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conic_census import census, cli, gf, linsys
+from conic_census import census, cli, gf, sections
 from conic_census.errors import (ConfigError, NonReducedFiber,
                                  OddDegreeUnsupported, SingularTotalSpace)
 
@@ -235,8 +236,31 @@ def test_main_non_utf8_config_is_a_config_error(tmp_path, capsys):
     assert "can't decode byte 0xff" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("field", [{"q": 1000000007}, {"p": 2305843009213693951},
+                                   {"p": 3, "n": 10000}], ids=["q-prime", "p-2^61-1", "p3-n10000"])
+def test_main_refuses_a_huge_field_at_once(tmp_path, capsys, field):
+    # the cap is checked first: the least-factor search over q took 63 s, the
+    # trial-division primality test of 2^61 - 1 ran for minutes, and printing
+    # 3^10000 passed the int-to-str limit and ended in a traceback
+    def too_slow(signum, frame):
+        raise TimeoutError("the field check ran past a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = run_main(tmp_path, doc(dict(TRIVIAL, field=field), "classify"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("config error at field: q = ")
+    assert captured.err.endswith(f" exceeds the cap {gf.MAX_BASE_ORDER}\n")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
-    [], ["--task", "zeta"], ["--config", "{cfg}", "--verbose"], ["--config", "{cfg}", "-v"],
+    [], ["--task", "zeta"],["--config", "{cfg}", "--verbose"], ["--config", "{cfg}", "-v"],
     ["--config", "{cfg}", "--budget", "x"], ["--config", "{cfg}", "--precision=1.5"],
     ["--config", "{cfg}", "--task", "nope"], ["--config", "{cfg}", "--format=yaml"],
     ["--config", "{cfg}", "--budget"], ["--config"], ["--config", "--timings"],
@@ -460,7 +484,7 @@ def test_main_zeta_closed_form_digit_limit(tmp_path, capsys, field, s, ok):
 def test_cli_import_leaves_mpmath_unloaded():
     # only the number-field analogue uses mpmath, and no CLI task reaches it
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import sys, conic_census.cli; print('mpmath' in sys.modules)"
+    code = "import sys, conic_census.cli, conic_census.census; print('mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout == "False\n"
@@ -479,18 +503,28 @@ def test_cli_run_imports_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
-LAZY = ("conic_census.census", "conic_census.linsys", "conic_census.picard", "csv")
+LAZY = ("conic_census.census", "conic_census.linsys", "conic_census.picard",
+        "conic_census.conditions", "conic_census.pool", "conic_census.sections",
+        "conic_census.numberfield", "csv")
 
 
 @pytest.mark.parametrize("document, loaded", [
     (None, []),
     (doc(TRIVIAL, "classify"), []),
     (doc(TRIVIAL, "zeta", s=2), []),
-    (doc(TRIVIAL, "compare", d=2, e_list=[2]), list(LAZY[:3]))],
-    ids=["import", "classify", "zeta", "compare-json"])
+    (doc(TRIVIAL, "compare", d=2, e_list=[2]), list(LAZY[:3])),
+    (doc(TRIVIAL, "predict", d=2, e_list=[4]), list(LAZY[:3])),
+    (doc(MIXED, "enumerate", d=2, e=3), list(LAZY[1:4])),
+    (doc(MIXED, "compare", d=2, e_list=[2]), list(LAZY[:4])),
+    (doc(MIXED, "compare", d=4, e_list=[2]), list(LAZY[:5]))],
+    ids=["import", "classify", "zeta", "compare-json", "predict", "enumerate-l1",
+         "compare-l1-d2", "compare-l1-d4"])
 def test_cli_loads_only_the_engines_its_task_calls(document, loaded):
     # with PYTHONDONTWRITEBYTECODE every module a run loads is compiled from
-    # source, so a task that counts nothing must not load the counting engines
+    # source, so a task that counts nothing must not load the counting engines,
+    # an l = 0 count loads no condition row, only a class with lines loads
+    # `conditions`, only the subset sum (l >= 1, d >= 4) loads `pool`, and no
+    # task loads the section API or the number-field analogue
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = "import sys, conic_census.cli as cli\n"
     if document is not None:
@@ -542,6 +576,6 @@ def test_enumerate_builds_no_section_space(tmp_path, capsys, monkeypatch, base, 
     def refuse(b, D):
         raise AssertionError("enumerate built a section space")
 
-    monkeypatch.setattr(linsys, "section_space", refuse)
+    monkeypatch.setattr(sections, "section_space", refuse)
     assert run_main(tmp_path, document) == 0
     assert capsys.readouterr().out == want

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conic_census import bundle, census, curve, gf, linsys, picard
+from conic_census import bundle, census, conditions, curve, gf, linsys, picard, sections
+from conic_census import pool as subset_sum  # the tests name their pools `pool`
 from conic_census.bundle import BinaryForm, bf_mul
 from conic_census.errors import EnumerationBudgetExceeded, OddDegreeUnsupported
 from conic_census.picard import NumClass
@@ -153,8 +154,8 @@ def test_sieve_matches_subset_sum_wherever_it_runs():
         b = make()
         for d, e in itertools.product(degrees, heights):
             for D in picard.classes_of_type(b, d, e):
-                pool = linsys._component_pool(b, D)
-                want = linsys._tri_count(b.field, pool, linsys._dim(b, D))
+                pool = subset_sum._component_pool(b, D)
+                want = subset_sum._tri_count(b.field, pool, linsys._dim(b, D))
                 assert linsys._fiberfree(b, *picard.coords(b, D)) == want, (b.field.order, b.l, d, e, D)
                 checked += 1
     assert checked >= 200
@@ -177,7 +178,7 @@ def test_sieve_reads_dims_only(monkeypatch):
     b1 = b_mixed()
     classes = picard.classes_of_type(b1, 2, 4)
     assert len(classes) == 2
-    for module, name in ((linsys, "_component_pool"), (curve, "closed_points_up_to"),
+    for module, name in ((subset_sum, "_component_pool"), (curve, "closed_points_up_to"),
                          (picard, "decompositions"), (picard, "type_of"),
                          (picard, "class_from_canonical")):
         monkeypatch.setattr(module, name, refuse)
@@ -202,9 +203,9 @@ def test_three_engines_agree_on_trivial_bundle():
             F3, oracles.full_ann_rows(b0, D.dprime, D.a, P, 1), basis)
             for P in curve.closed_points_up_to(F3, e // 2)]
         for pool, n in ((ambient_pool, len(basis)),
-                        (linsys._component_pool(b0, D), linsys._dim(b0, D))):
+                        (subset_sum._component_pool(b0, D), linsys._dim(b0, D))):
             scan = oracles.scan_fiberfree(b0.field, pool, n)
-            tri = linsys._tri_count(b0.field, pool, n)
+            tri = subset_sum._tri_count(b0.field, pool, n)
             assert scan == tri == want
 
 
@@ -218,7 +219,7 @@ def test_ambient_and_ruled_models_agree_in_dim_on_l0(F):
     for d, e in itertools.product((0, 2, 4), range(-6, 9)):
         for D in picard.classes_of_type(b0, d, e):
             D = picard.normalize(b0, D)
-            assert len(oracles.ambient_basis(b0, D)) == linsys.section_space(b0, D).dim, (d, e)
+            assert len(oracles.ambient_basis(b0, D)) == sections.section_space(b0, D).dim, (d, e)
             checked += 1
     assert checked >= 20
 
@@ -231,10 +232,10 @@ def test_scan_oracle_matches_subset_sum_on_benchmarked_classes(d, heights):
     b = b_catalog_l1(F3)
     for e in heights:
         for D in picard.classes_of_type(b, d, e):
-            pool = linsys._component_pool(b, D)
+            pool = subset_sum._component_pool(b, D)
             dim = linsys._dim(b, D)
             scan = oracles.scan_fiberfree(F3, pool, dim)
-            tri = linsys._tri_count(F3, pool, dim)
+            tri = subset_sum._tri_count(F3, pool, dim)
             assert scan == tri == linsys.fiberfree_count(b, D), (e, D)
 
 
@@ -358,7 +359,7 @@ def test_prime_d4_division_path_regression():
 
 
 def _member_flats(F, basis):
-    """(coords, flat) of every member of a basis (`linsys._basis`), one per
+    """(coords, flat) of every member of a basis (`sections._basis`), one per
     scalar class (leading coordinate 1), the flat built from the basis with
     field operations only."""
     for coords in itertools.product(list(F.elements()), repeat=len(basis)):
@@ -375,7 +376,7 @@ def _ruled_members(b, D):
     {(i, t): c} for the coefficient of x0^(delta - i) x1^i t^t."""
     _, A, _ = linsys._layout(b, D)
     return [{divmod(k, A + 1): c for k, c in enumerate(flat) if c != b.field.zero}
-            for _, flat in _member_flats(b.field, linsys._basis(b, D))
+            for _, flat in _member_flats(b.field, sections._basis(b, D))
             if _gcd_fiber_free(b, D, flat)]
 
 
@@ -430,9 +431,9 @@ def test_product_multiplicities_are_additive():
     b1 = b_mixed()
     D1 = NumClass.make(1, 0, {P_T1: 1})
     D2 = NumClass.make(1, 0)
-    s1 = linsys.Section(D1, {(1, 0, 0): BinaryForm(1, (1, 1)),
+    s1 = sections.Section(D1, {(1, 0, 0): BinaryForm(1, (1, 1)),
                              (0, 1, 0): BinaryForm(1, (2, 2))})
-    s2 = linsys.Section(D2, {(1, 0, 0): BinaryForm(0, (1,)),
+    s2 = sections.Section(D2, {(1, 0, 0): BinaryForm(0, (1,)),
                              (0, 1, 0): BinaryForm(0, (1,))})
     prod = {}
     for m1, f1 in s1.ambient_coeffs.items():
@@ -446,11 +447,11 @@ def test_product_multiplicities_are_additive():
             else:
                 prod[key] = f
     D12 = NumClass.make(2, 0, {P_T1: 1})
-    s12 = linsys.Section(D12, prod)
+    s12 = sections.Section(D12, prod)
     for side in ("E", "Ep", "full"):
-        m1 = linsys.component_multiplicity(b1, s1, P_T1, side)
-        m2 = linsys.component_multiplicity(b1, s2, P_T1, side)
-        assert linsys.component_multiplicity(b1, s12, P_T1, side) == m1 + m2
+        m1 = sections.component_multiplicity(b1, s1, P_T1, side)
+        m2 = sections.component_multiplicity(b1, s2, P_T1, side)
+        assert sections.component_multiplicity(b1, s12, P_T1, side) == m1 + m2
 
 
 def test_scan_dimension_threshold_frozen():
@@ -467,11 +468,11 @@ def test_extension_field_fiberfree_counts_frozen():
         b = b_catalog_l1(F)
         counts = Counter()
         for D in picard.classes_of_type(b, 2, e):
-            basis = linsys._basis(b, D)
+            basis = sections._basis(b, D)
             if len(basis) > max_dim:
                 continue
             n = linsys.fiberfree_count(b, D)
-            pool = linsys._component_pool(b, D)
+            pool = subset_sum._component_pool(b, D)
             at = _pool_columns(b, D)
             assert n == sum(_pool_fiber_free(F, pool, [flat[c] for c in at])
                             for _, flat in _member_flats(F, basis)), D
@@ -504,8 +505,8 @@ def _gcd_fiber_free(b, D, flat):
         return False
     for P in b.split_points:
         for side in ("E", "Ep"):
-            rows = linsys._ann_rows(b, dp, A, P, side, forced.get((P, side), 0) + 1)
-            if all(linsys._dot(F, r, flat) == F.zero for r in rows):
+            rows = conditions._ann_rows(b, dp, A, P, side, forced.get((P, side), 0) + 1)
+            if all(conditions._dot(F, r, flat) == F.zero for r in rows):
                 return False
     return True
 
@@ -513,12 +514,12 @@ def _gcd_fiber_free(b, D, flat):
 def _pool_columns(b, D):
     """The flat columns that are a member's coordinates for the component pool
     of its class: `_cols` less the condition pivots, so on l = 0 all."""
-    cols, _, piv = linsys._conditions(b, D)
+    cols, _, piv = conditions._conditions(b, D)
     return [c for j, c in enumerate(cols) if j not in piv]
 
 
 def _pool_fiber_free(F, pool, coords):
-    return not any(all(linsys._dot(F, r, coords) == F.zero for r in blk) for blk in pool)
+    return not any(all(conditions._dot(F, r, coords) == F.zero for r in blk) for blk in pool)
 
 
 def _brute_pool_count(F, pool, n):
@@ -550,7 +551,7 @@ def test_tri_count_hand_built_pools(F):
                                  for _ in range(rng.randint(1, 3))] for _ in range(5)]
     for name, pool in pools.items():
         want = _brute_pool_count(F, pool, n)
-        assert linsys._tri_count(F, pool, n) == want, name
+        assert subset_sum._tri_count(F, pool, n) == want, name
     assert _brute_pool_count(F, pools["no blocks"], n) == (F.order ** n - 1) // (F.order - 1)
 
 
@@ -571,11 +572,11 @@ def test_component_pool_matches_gcd_predicate(F, l, a, b, c, e_max):
     checked = 0
     for d, e in itertools.product((0, 1, 2), range(-1, e_max + 1)):
         for D in picard.classes_of_type(bnd, d, e):
-            basis = linsys._basis(bnd, D)
+            basis = sections._basis(bnd, D)
             n = len(basis)
             if n == 0 or F.order ** n > 3 ** 8:
                 continue
-            pool = linsys._component_pool(bnd, D)
+            pool = subset_sum._component_pool(bnd, D)
             at = _pool_columns(bnd, D)
             free = set()
             for coords, flat in _member_flats(F, basis):

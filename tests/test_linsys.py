@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conic_census import bundle, curve, gf, linsys, picard
+from conic_census import bundle, conditions, curve, gf, linsys, picard, sections
 from conic_census.bundle import BinaryForm, FiberClass
 from conic_census.errors import EmptySpace, NotASplitFiber, OddDegreeUnsupported, ZeroSection
-from conic_census.linsys import Section, component_set, section_space
+from conic_census.sections import Section, component_set, section_space
 from conic_census.picard import CLASS_H, NumClass
 
 F3 = gf.make_field(3)
@@ -101,9 +101,9 @@ def test_component_multiplicity_divisible_coefficients():
     D = class_at(1, 1)
     pt1 = BinaryForm(1, (1, 1))
     s = Section(D, {(0, 0, 1): pt1})
-    assert linsys.component_multiplicity(b1, s, P_T1, "full") == 1
-    assert linsys.component_multiplicity(b1, s, P_T1, "E") == 1
-    assert linsys.component_multiplicity(b1, s, P_T1, "Ep") == 1
+    assert sections.component_multiplicity(b1, s, P_T1, "full") == 1
+    assert sections.component_multiplicity(b1, s, P_T1, "E") == 1
+    assert sections.component_multiplicity(b1, s, P_T1, "Ep") == 1
 
 
 def test_component_multiplicity_line_times_transverse():
@@ -112,17 +112,17 @@ def test_component_multiplicity_line_times_transverse():
     D = class_at(2, 0)
     one = BinaryForm(0, (1,))
     s = Section(D, {(1, 0, 1): one, (0, 1, 1): one})
-    assert linsys.component_multiplicity(b1, s, P_T1, "E") == 1
-    assert linsys.component_multiplicity(b1, s, P_T1, "Ep") == 0
-    assert linsys.component_multiplicity(b1, s, P_T1, "full") == 0
+    assert sections.component_multiplicity(b1, s, P_T1, "E") == 1
+    assert sections.component_multiplicity(b1, s, P_T1, "Ep") == 0
+    assert sections.component_multiplicity(b1, s, P_T1, "full") == 0
 
 
 def test_component_multiplicity_transverse_section():
     b1 = b_mixed()
     s = Section(class_at(1, 0), {(0, 0, 1): BinaryForm(0, (1,))})
-    assert linsys.component_multiplicity(b1, s, P_T1, "E") == 0
-    assert linsys.component_multiplicity(b1, s, P_T1, "Ep") == 0
-    assert linsys.component_multiplicity(b1, s, P_T1, "full") == 0
+    assert sections.component_multiplicity(b1, s, P_T1, "E") == 0
+    assert sections.component_multiplicity(b1, s, P_T1, "Ep") == 0
+    assert sections.component_multiplicity(b1, s, P_T1, "full") == 0
 
 
 def test_component_multiplicity_mixed_orders():
@@ -130,23 +130,23 @@ def test_component_multiplicity_mixed_orders():
     b1 = b_mixed()
     D = class_at(1, 0, {P_T1: 1})
     s = Section(D, {(1, 0, 0): BinaryForm(1, (1, 1)), (0, 1, 0): BinaryForm(1, (2, 2))})
-    assert linsys.component_multiplicity(b1, s, P_T1, "E") == 1
-    assert linsys.component_multiplicity(b1, s, P_T1, "Ep") == 2
-    assert linsys.component_multiplicity(b1, s, P_T1, "full") == 1
+    assert sections.component_multiplicity(b1, s, P_T1, "E") == 1
+    assert sections.component_multiplicity(b1, s, P_T1, "Ep") == 2
+    assert sections.component_multiplicity(b1, s, P_T1, "full") == 1
     # scaling never changes multiplicities
     s2 = Section(D, {k: BinaryForm(f.degree, tuple(F3.mul(c, 2) for c in f.coeffs))
                      for k, f in s.ambient_coeffs.items()})
     for side in ("E", "Ep", "full"):
-        assert (linsys.component_multiplicity(b1, s2, P_T1, side)
-                == linsys.component_multiplicity(b1, s, P_T1, side))
+        assert (sections.component_multiplicity(b1, s2, P_T1, side)
+                == sections.component_multiplicity(b1, s, P_T1, side))
 
 
 def test_component_multiplicity_rejects_zero_and_nonsplit_sides():
     b1 = b_mixed()
     with pytest.raises(ZeroSection):
-        linsys.component_multiplicity(b1, Section(class_at(1, 0), {}), P_T1, "E")
+        sections.component_multiplicity(b1, Section(class_at(1, 0), {}), P_T1, "E")
     with pytest.raises(NotASplitFiber):
-        linsys.component_multiplicity(
+        sections.component_multiplicity(
             b1, Section(class_at(1, 0), {(0, 0, 1): BinaryForm(0, (1,))}), P_T, "E")
     # a class with a coefficient over t, which does not split, is refused
     # whatever the sign of the coefficient and the degree A of its forms
@@ -166,7 +166,7 @@ def test_component_multiplicity_refuses_a_multiple_of_the_conic():
             for m, form in (((2, 0, 0), (0, 1)), ((0, 2, 0), (1, 0)), ((0, 0, 2), (1, 1)))})
         for side in ("E", "Ep", "full"):
             with pytest.raises(ZeroSection):
-                linsys.component_multiplicity(b1, conic, P_T1, side)
+                sections.component_multiplicity(b1, conic, P_T1, side)
 
 
 def test_component_multiplicity_rejects_sections_outside_the_layout():
@@ -180,7 +180,7 @@ def test_component_multiplicity_rejects_sections_outside_the_layout():
                (b1, {(1, 0): pt}), (b1, {(0, 0, 1): BinaryForm(0, (1,))})]
     for b, coeffs in outside:
         with pytest.raises(ValueError):
-            linsys.component_multiplicity(b, Section(D, coeffs), P_T, "full")
+            sections.component_multiplicity(b, Section(D, coeffs), P_T, "full")
 
 
 def test_component_set_validation_and_height():
@@ -204,13 +204,13 @@ def test_proportion_empty_and_tall_sets():
     b1 = b_mixed()
     D = class_at(1, 1)
     dim = section_space(b1, D).dim
-    assert linsys.proportion_exact(b1, D, component_set(b1, [])) == 1
+    assert sections.proportion_exact(b1, D, component_set(b1, [])) == 1
     # a set taller than the class height pins the kernel to the zero section
     deg2 = [P for P in curve.closed_points_up_to(F3, 2)
             if P.degree == 2 and b1.singular_fiber_at(P) is None]
     S = component_set(b1, [(deg2[0], "full")])
     assert S.height == 4 > picard.type_of(b1, D)[1]
-    assert linsys.proportion_exact(b1, D, S) == Fraction(1, 3 ** dim)
+    assert sections.proportion_exact(b1, D, S) == Fraction(1, 3 ** dim)
 
 
 def test_proportion_exact_smooth_fiber_codimension():
@@ -218,8 +218,8 @@ def test_proportion_exact_smooth_fiber_codimension():
     b1 = b_mixed()
     D = class_at(1, 3)
     S = component_set(b1, [(P_T2, "full")])
-    assert linsys.proportion_exact(b1, D, S) == Fraction(1, 27)
-    assert linsys.proportion_product(b1, D, S) == Fraction(1, 27)
+    assert sections.proportion_exact(b1, D, S) == Fraction(1, 27)
+    assert sections.proportion_product(b1, D, S) == Fraction(1, 27)
 
 
 def test_proportions_refuse_a_component_over_a_nonsplit_point_alike():
@@ -228,7 +228,7 @@ def test_proportions_refuse_a_component_over_a_nonsplit_point_alike():
     S = component_set(b1, [(P_T2, "full")])
     for dp, side in itertools.product((1, 2), ("E", "Ep")):
         D = class_at(dp, 0, {P_T: 1}, {P_T: side})
-        for proportion in (linsys.proportion_exact, linsys.proportion_product):
+        for proportion in (sections.proportion_exact, sections.proportion_product):
             with pytest.raises(NotASplitFiber, match="no split fiber at t"):
                 proportion(b1, D, S)
 
@@ -236,9 +236,9 @@ def test_proportions_refuse_a_component_over_a_nonsplit_point_alike():
 def test_proportion_product_values():
     b1 = b_mixed()
     D = class_at(1, 1)
-    assert linsys.proportion_product(b1, D, component_set(b1, [(P_T2, "full")])) == Fraction(1, 27)
-    assert linsys.proportion_product(b1, D, component_set(b1, [(P_T, "full")])) == Fraction(1, 81)
-    assert linsys.proportion_product(b1, D, component_set(b1, [(P_T1, "E")])) == Fraction(1, 9)
+    assert sections.proportion_product(b1, D, component_set(b1, [(P_T2, "full")])) == Fraction(1, 27)
+    assert sections.proportion_product(b1, D, component_set(b1, [(P_T, "full")])) == Fraction(1, 81)
+    assert sections.proportion_product(b1, D, component_set(b1, [(P_T1, "E")])) == Fraction(1, 9)
 
 
 def test_line_conditions_at_degree_two_split_point():
@@ -248,14 +248,14 @@ def test_line_conditions_at_degree_two_split_point():
     P = curve.point_from_poly(F3, (1, 0, 1))
     lifted = Section(class_at(1, 1), {(0, 1, 0): BinaryForm(1, (1, 0)),
                                       (0, 0, 1): BinaryForm(1, (1, 1))})
-    assert linsys.component_multiplicity(b2, lifted, P, "E") == 1
-    assert linsys.component_multiplicity(b2, lifted, P, "Ep") == 0
-    assert linsys.component_multiplicity(b2, lifted, P, "full") == 0
+    assert sections.component_multiplicity(b2, lifted, P, "E") == 1
+    assert sections.component_multiplicity(b2, lifted, P, "Ep") == 0
+    assert sections.component_multiplicity(b2, lifted, P, "full") == 0
     D = class_at(1, 1, {P_T2: 1})
     for side in ("E", "Ep"):
         S = component_set(b2, [(P, side)])
-        assert linsys.proportion_exact(b2, D, S) == Fraction(1, 81)
-        assert linsys.proportion_product(b2, D, S) == Fraction(1, 81)
+        assert sections.proportion_exact(b2, D, S) == Fraction(1, 81)
+        assert sections.proportion_product(b2, D, S) == Fraction(1, 81)
     for a, side in ((0, "E"), (0, "Ep"), (1, "Ep")):
         D4 = class_at(2, a, {P: 1}, {P: side})
         assert section_space(b2, D4).dim == picard.euler_char(b2, curve.P1_CURVE, D4)
@@ -331,8 +331,8 @@ def test_sieve_proportions_have_maximal_rank():
                 S = component_set(b1, items)
                 if S.height > window:
                     continue
-                exact = linsys.proportion_exact(b1, D, S)
-                product = linsys.proportion_product(b1, D, S)
+                exact = sections.proportion_exact(b1, D, S)
+                product = sections.proportion_product(b1, D, S)
                 defect = defect_exponent(b1, S)
                 rank = true_rank(b1, D, S)
                 assert product * q ** defect == Fraction(1, q ** rank)
@@ -355,8 +355,8 @@ def test_full_at_split_point_matches_component_pair():
     S_full = component_set(b1, [(P_T1, "full")])
     S_pair = component_set(b1, [(P_T1, "E"), (P_T1, "Ep")])
     assert S_full.height == S_pair.height == 2
-    assert linsys.proportion_exact(b1, D, S_full) == linsys.proportion_exact(b1, D, S_pair)
-    assert linsys.proportion_product(b1, D, S_full) == linsys.proportion_product(b1, D, S_pair)
+    assert sections.proportion_exact(b1, D, S_full) == sections.proportion_exact(b1, D, S_pair)
+    assert sections.proportion_product(b1, D, S_full) == sections.proportion_product(b1, D, S_pair)
 
 
 def test_proportion_multiplicative_on_disjoint_sets():
@@ -366,8 +366,8 @@ def test_proportion_multiplicative_on_disjoint_sets():
     pieces = [component_set(b1, [(P_T1, "E")]), component_set(b1, [(P_T2, "full")])]
     union = component_set(b1, [(P_T1, "E"), (P_T2, "full")])
     assert pieces[0].height + pieces[1].height <= window
-    assert (linsys.proportion_exact(b1, D, union)
-            == linsys.proportion_exact(b1, D, pieces[0]) * linsys.proportion_exact(b1, D, pieces[1]))
+    assert (sections.proportion_exact(b1, D, union)
+            == sections.proportion_exact(b1, D, pieces[0]) * sections.proportion_exact(b1, D, pieces[1]))
 
 
 def test_trivial_bundle_proportions_have_no_defect():
@@ -380,7 +380,7 @@ def test_trivial_bundle_proportions_have_no_defect():
         S = component_set(b0, items)
         if S.height > window:
             continue
-        assert linsys.proportion_exact(b0, D, S) == linsys.proportion_product(b0, D, S)
+        assert sections.proportion_exact(b0, D, S) == sections.proportion_product(b0, D, S)
 
 
 def test_proportion_on_an_empty_ruled_class_is_one_at_every_point():
@@ -389,7 +389,7 @@ def test_proportion_on_an_empty_ruled_class_is_one_at_every_point():
     b0 = b_trivial()
     (D,) = picard.classes_of_type(b0, 2, -2)
     for P in (P_T, P_INF):
-        assert linsys.proportion_exact(b0, D, component_set(b0, [(P, "full")])) == 1
+        assert sections.proportion_exact(b0, D, component_set(b0, [(P, "full")])) == 1
 
 
 def _divisible_section(b, D, rng, P, k):
@@ -418,7 +418,7 @@ def test_one_builder_matches_the_old_constructions():
             for D in picard.classes_of_type(b, d, e):
                 _, A, _ = linsys._layout(b, D)
                 for P, level in itertools.product(points, (1, 2)):
-                    assert (linsys._ann_rows(b, D.dprime, A, P, "full", level)
+                    assert (conditions._ann_rows(b, D.dprime, A, P, "full", level)
                             == oracles.full_ann_rows(b, D.dprime, A, P, level)), (D, P, level)
                     checked += 1
     b0 = b_trivial()
@@ -427,8 +427,8 @@ def test_one_builder_matches_the_old_constructions():
         for D in picard.classes_of_type(b0, d, e):
             D = picard.normalize(b0, D)
             for P in points:
-                want = linsys._rref(F3, oracles.param_full_rows(b0, D, P))[0]
-                assert linsys._ann_rows(b0, D.dprime, D.a, P, "full", 1) == tuple(map(tuple, want))
+                want = conditions._rref(F3, oracles.param_full_rows(b0, D, P))[0]
+                assert conditions._ann_rows(b0, D.dprime, D.a, P, "full", 1) == tuple(map(tuple, want))
                 checked += 1
             _, A, _ = linsys._layout(b0, D)
             if section_space(b0, D).dim == 0:
@@ -440,7 +440,7 @@ def test_one_builder_matches_the_old_constructions():
                 forms = [f for f in s.ambient_coeffs.values() if any(f.coeffs)]
                 if forms:
                     want = min(oracles.binary_val(F3, f, P) for f in forms)
-                    assert linsys.component_multiplicity(b0, s, P, "full") == want, (D, P, k)
+                    assert sections.component_multiplicity(b0, s, P, "full") == want, (D, P, k)
                     checked += 1
     assert checked >= 1000
 
@@ -453,11 +453,11 @@ def test_parameterized_model_multiplicities():
     assert sp.dim == 4
     s = sp.basis[0]
     with pytest.raises(NotASplitFiber):
-        linsys.component_multiplicity(b0, s, P_T, "E")
+        sections.component_multiplicity(b0, s, P_T, "E")
     pt = BinaryForm(1, (0, 1))
     sm = Section(D, {(1, 0): pt, (0, 1): pt})
-    assert linsys.component_multiplicity(b0, sm, P_T, "full") == 1
-    assert linsys.component_multiplicity(b0, sm, P_T1, "full") == 0
+    assert sections.component_multiplicity(b0, sm, P_T, "full") == 1
+    assert sections.component_multiplicity(b0, sm, P_T1, "full") == 0
 
 
 F5 = gf.make_field(5)
@@ -538,7 +538,7 @@ def test_residue_rows_match_global_nullspace(make, components):
         if side != "full" and P.degree > 1 and dp > 2:
             continue
         want = _outcome(oracles.global_ann_rows, b, dp, A, P, side, level)
-        got = _outcome(linsys._ann_rows, b, dp, A, P, side, level)
+        got = _outcome(conditions._ann_rows, b, dp, A, P, side, level)
         assert got == want, (dp, A, P, side, level)
         checked += 1
     assert checked >= 60
@@ -556,7 +556,7 @@ def test_cols_are_the_columns_off_the_conic_multiples_rref_pivots(make):
         if b.l == 0:
             dp = Fraction(dp, 2)
         N = len(linsys._monos(b, dp)) * (A + 1)
-        pivots = set(linsys._rref(b.field, linsys._z_source_rows(b, dp, A))[1])
+        pivots = set(conditions._rref(b.field, linsys._z_source_rows(b, dp, A))[1])
         assert linsys._cols(b, dp, A) == tuple(j for j in range(N) if j not in pivots), (dp, A)
         checked += bool(pivots)
     assert checked >= (30 if b.l else 0)
@@ -573,18 +573,18 @@ def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
     # the elimination runs in |monos| deg pi columns whatever A is: 30 for
     # dprime 4 (15 monomials) and deg pi 2, where the layout has 615 columns
     seen = []
-    nullspace = linsys._nullspace
+    nullspace = conditions._nullspace
 
     def recording(F, rows, n):
         seen.append(n)
         return nullspace(F, rows, n)
 
-    monkeypatch.setattr(linsys, "_nullspace", recording)
-    linsys._ann_rows.cache_clear()
+    monkeypatch.setattr(conditions, "_nullspace", recording)
+    conditions._ann_rows.cache_clear()
     b = b_mixed()
     for P, side, level in ((P_T1, "E", 2), (P_INF, "full", 2), (P_T2_1, "full", 1)):
         seen.clear()
-        rows = linsys._ann_rows(b, 4, 40, P, side, level)
+        rows = conditions._ann_rows(b, 4, 40, P, side, level)
         assert rows and seen and all(0 < n <= 15 * 2 for n in seen), (P, side, seen)
         assert all(len(r) == 15 * 41 for r in rows)
 
@@ -595,7 +595,7 @@ def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
     def refuse(*args):
         raise AssertionError("the threshold scan built a basis or a class")
 
-    for module, name in ((linsys, "_basis"), (picard, "class_from_canonical"),
+    for module, name in ((sections, "_basis"), (picard, "class_from_canonical"),
                          (picard, "euler_char")):
         monkeypatch.setattr(module, name, refuse)
     assert linsys.scan_dimension_threshold(make(), curve.P1_CURVE, d) == want
@@ -707,7 +707,7 @@ def test_conditions_on_a_prefix_echelon_match_a_build_from_scratch(make):
     for d, e in itertools.product((2, 4), range(-2, 9)):
         for D in picard.classes_of_type(b, d, e):
             if len(linsys._layout(b, D)[2]) >= 2:
-                assert linsys._conditions(b, D) == oracles.conditions_from_scratch(b, D), D
+                assert conditions._conditions(b, D) == oracles.conditions_from_scratch(b, D), D
                 checked += 1
     assert checked >= 20
 
@@ -726,7 +726,7 @@ def test_ambient_basis_matches_full_kernel_oracle(make):
         for e in range(-4, 9):
             for D in picard.classes_of_type(b, d, e):
                 D = picard.normalize(b, D)
-                assert tuple(map(tuple, linsys._basis(b, D))) == oracle(b, D), D
+                assert tuple(map(tuple, sections._basis(b, D))) == oracle(b, D), D
                 checked += 1
     assert checked >= 20
 
@@ -737,14 +737,14 @@ def test_counting_path_builds_no_model(monkeypatch):
     def refuse(b, D):
         raise AssertionError("the counting path built a basis")
 
-    monkeypatch.setattr(linsys, "_basis", refuse)
+    monkeypatch.setattr(sections, "_basis", refuse)
     for memo in (linsys._dim_at, linsys._fiberfree, linsys._weighted, linsys._prime):
         memo.cache_clear()
     b1 = b_mixed()
     assert linsys.prime_count(b1, 4, 2) == 225
     assert linsys.fiberfree_count(b1, NumClass.make(2, 0)) == 339
     S = component_set(b1, [(P_T2, "full")])
-    assert linsys.proportion_exact(b1, class_at(1, 3), S) == Fraction(1, 27)
+    assert sections.proportion_exact(b1, class_at(1, 3), S) == Fraction(1, 27)
     P = curve.point_from_poly(F3, (1, 0, 1))
     S = component_set(b_double(), [(P, "E")])
-    assert linsys.proportion_exact(b_double(), class_at(1, 1, {P_T2: 1}), S) == Fraction(1, 81)
+    assert sections.proportion_exact(b_double(), class_at(1, 1, {P_T2: 1}), S) == Fraction(1, 81)

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -166,3 +167,26 @@ def test_perfbench_spans_name_live_functions():
         module = importlib.import_module(f"conic_census.{short}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{short}.{name}"
+
+
+def test_perfbench_trace_wraps_every_span_in_a_fresh_interpreter():
+    # trace mode wraps each name with getattr and setattr before the CLI runs,
+    # in a process that has imported nothing else: `linsys.section_space`
+    # must still resolve, through linsys's alias, to `sections.section_space`
+    code = (
+        "import importlib, importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('child', {str(ROOT / 'perfbench' / 'child.py')!r})\n"
+        "child = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(child)\n"
+        "tracer = child.Tracer()\n"
+        "orig = {f'{short}.{name}': tracer.wrap(importlib.import_module(f'conic_census.{short}'),\n"
+        "                                       short, name)\n"
+        "        for short, names in child.SPANS.items() for name in names}\n"
+        "from conic_census import linsys, sections\n"
+        "print(orig['linsys.section_space'] is sections.section_space,\n"
+        "      linsys.section_space.__wrapped__ is sections.section_space,\n"
+        "      all(map(callable, orig.values())), hasattr(linsys, 'proportion_exact'))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "True True True False\n"

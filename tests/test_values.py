@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from conic_census import bundle, curve, gf, linsys
+from conic_census import bundle, curve, gf, sections
 from conic_census.bundle import BinaryForm, ConicBundle, FiberClass, SingularFiber
-from conic_census.census import NumberFieldInputs, SqrtQRational
+from conic_census.census import SqrtQRational
 from conic_census.curve import ClosedPoint, CurveDescriptor
-from conic_census.linsys import ComponentSet, Section, SectionSpace
+from conic_census.numberfield import NumberFieldInputs
 from conic_census.picard import NumClass
+from conic_census.sections import ComponentSet, Section, SectionSpace
 
 F3 = gf.make_field(3)
 P_T1 = ClosedPoint((1, 1), 1)
@@ -105,7 +106,7 @@ def test_reprs():
     assert repr(SqrtQRational(1, 1, 4)) == "SqrtQRational(u=Fraction(3, 1), v=Fraction(0, 1), q=4)"
     assert repr(SqrtQRational(Fraction(1, 2), -1, 3)) == (
         "SqrtQRational(u=Fraction(1, 2), v=Fraction(-1, 1), q=3)")
-    assert repr(linsys.component_set(B_MIXED, [(P_T1, "Ep"), (curve.INFINITY, "full")])) == (
+    assert repr(sections.component_set(B_MIXED, [(P_T1, "Ep"), (curve.INFINITY, "full")])) == (
         "ComponentSet(elements=((ClosedPoint(poly=None, degree=1), 'full'), "
         "(ClosedPoint(poly=(1, 1), degree=1), 'Ep')), height=3)")
 
