@@ -15,14 +15,15 @@ monomial-major (graded lex) with ascending t-degree inside each binary form,
 and every basis is kept in reduced row echelon form, so coset
 representatives are canonical.
 
-The later stages live in modules of their own, each loaded by the first class
-that reaches it: the condition rows of a class with lines (`conditions`), the
-subset sum over the component pool (`pool`), and the section API, multiplicities
-and proportions, which no count reads (`sections`).  Dims read ranks from one
-echelon of a class's condition rows, and a class with no lines, every class on
-l = 0, has all of its columns.  Dims have one memo, keyed on canonical
-coordinates (`_dim_at`) and read with no class built; above a per-(dp, cs)
-threshold (`_a0`) it is chi, and the threshold scan reads that table alone.
+The later stages live in modules of their own: the condition rows of a class
+with lines (`conditions`) and the subset sum over the component pool (`pool`),
+each loaded by the first class that reaches it, and the section API,
+multiplicities and proportions, which no count reads (`sections`).  Dims read
+ranks from one echelon of a class's condition rows, and a class with no lines,
+every class on l = 0, has all of its columns.  Dims have one memo, keyed on
+canonical coordinates (`_dim_at`) and read with no class built; above a
+per-(dp, cs) threshold (`_a0`) it is chi, and the threshold scan reads that
+table alone.
 
 Fiber-free members are counted from section-space dims alone: a sieve over
 the vertical prime divisors, E_P and E'_P over each split point and F_P over
