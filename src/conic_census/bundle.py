@@ -3,7 +3,9 @@
 A binary form of degree l is stored as a tuple of l+1 coefficients with
 coeffs[i] the coefficient of s^(l-i) t^i, so the dehomogenization f(1, t) is
 just the coefficient tuple read as a polynomial in t.  The fiber over a closed
-point P is classified by evaluating the three coefficients in kappa(P).
+point P is classified by evaluating the three coefficients in kappa(P).  That
+classification, and the factoring that finds the points where a form
+vanishes, live in `locus`, which `validate_bundle` loads only on l >= 1.
 """
 
 import enum
@@ -132,49 +134,17 @@ def validate_bundle(F, l, a, b, c):
         for j in range(i + 1, 3):
             if gf.deg(gf.poly_gcd(F, affs[i], affs[j])) > 0 or (sords[i] > 0 and sords[j] > 0):
                 raise NonReducedFiber("two coefficient forms share a zero, the fiber there is a double line")
-    facs = [gf.factor_poly(F, aff)[1] for aff in affs]
+    if not l:
+        # a form of degree l has l zeros on P1: on l = 0 none, so no fiber is
+        # singular, and the singular locus's module is not loaded
+        return ConicBundle(F, l, a, b, c, ())
+    from . import locus
+
+    # a nonzero constant has no zero, so only affine parts of degree >= 1 are factored
+    facs = [locus.factor_poly(F, aff)[1] if gf.deg(aff) > 0 else {} for aff in affs]
     if any(sord > 1 or any(m > 1 for m in fac.values()) for sord, fac in zip(sords, facs)):
         raise SingularTotalSpace("a repeated zero of a coefficient form makes the total space singular")
-    return ConicBundle(F, l, a, b, c, _singular_catalog(F, forms, sords, facs))
-
-
-def _singular_catalog(F, forms, sords, facs):
-    """The singular fibers over the zeros of each form: infinity where its
-    s-order is 1, and the monic irreducible factors of its affine part."""
-    fibers = []
-    for idx, (sord, fac) in enumerate(zip(sords, facs)):
-        if sord == 1:
-            fibers.append(_classify_at(F, forms, idx, curve.INFINITY))
-        for g in fac:
-            fibers.append(_classify_at(F, forms, idx, curve.ClosedPoint(g, gf.deg(g))))
-    fibers.sort(key=lambda f: curve.point_sort_key(F, f.point))
-    return tuple(fibers)
-
-
-def _classify_at(F, forms, vanishing_idx, P):
-    # fiber over P with forms[vanishing_idx] = 0: a binary quadratic in the two surviving variables
-    K = curve.residue_field(F, P)
-    vals = [bf_value_at(F, f, P) for f in forms]
-    # cyclic convention: a=0 tests -c/b, b=0 tests -a/c, c=0 tests -b/a
-    i = vanishing_idx
-    w1, w2 = (i + 1) % 3, (i + 2) % 3
-    ratio = K.neg(K.div(vals[w2], vals[w1]))
-    if not gf.is_square(K, ratio):
-        return SingularFiber(P, FiberClass.NONSPLIT_PAIR, None)
-    r = gf.sqrt(K, ratio)
-    # forms[w1] u^2 + forms[w2] w^2 = forms[w1] (u - r w)(u + r w) in surviving coords (u, w)
-    line1, line2 = [K.zero] * 3, [K.zero] * 3
-    line1[w1], line1[w2] = K.one, K.neg(r)
-    line2[w1], line2[w2] = K.one, r
-    lines = sorted((_normalize_line(K, line1), _normalize_line(K, line2)),
-                   key=lambda v: tuple(K.to_index(x) for x in v))
-    return SingularFiber(P, FiberClass.SPLIT_PAIR, tuple(lines))
-
-
-def _normalize_line(K, vec):
-    lead = next(c for c in vec if c != K.zero)
-    inv = K.inv(lead)
-    return tuple(K.mul(inv, c) for c in vec)
+    return ConicBundle(F, l, a, b, c, locus._singular_catalog(F, forms, sords, facs))
 
 
 def classify_fiber(bundle, P):

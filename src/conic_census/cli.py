@@ -266,8 +266,16 @@ def parse_config(text):
 
 
 def _sqrt_obj(x, precision):
-    return {"u": str(x.u), "v": str(x.v), "q": x.q,
-            "decimal": x.to_decimal(precision), "precision": precision}
+    """A u + v*sqrt(q) value as strings; only a height's values can outgrow
+    Python's int-to-str limit, so an unprintable one refuses the heights."""
+    try:
+        return {"u": str(x.u), "v": str(x.v), "q": x.q,
+                "decimal": x.to_decimal(precision), "precision": precision}
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ConfigError("params.e_list",
+                          f"the values at this height have more than {limit} digits, the most "
+                          f"Python converts to a string (sys.get_int_max_str_digits())") from None
 
 
 def _class_obj(F, D):

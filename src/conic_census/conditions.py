@@ -219,9 +219,13 @@ def _ann_rows(b, dp, A, P, side, level):
     if K is not F:
         ann = [[c[sig] for c in y] for y in ann for sig in range(P.degree)]
     ech, _ = _rref(F, ann)
-    # `_conditions` and the pool read these rows on `_cols` only
-    if any(_dot(F, r, z) != F.zero for r in ech for z in zrows):
-        raise AssertionError("conic multiples escaped the condition kernel")
+    # `_conditions` and the pool read these rows on `_cols` only; a conic
+    # multiple is checked on its nonzero entries, the only ones a dot reads
+    for z in zrows:
+        support = list(compress(range(len(z)), z))
+        nonzero = [z[j] for j in support]
+        if any(_dot(F, [r[j] for j in support], nonzero) != F.zero for r in ech):
+            raise AssertionError("conic multiples escaped the condition kernel")
     return tuple(tuple(r) for r in ech)
 
 

@@ -1,20 +1,24 @@
-"""Exact arithmetic in F_q for odd q, in extensions of F_q, and in F_q[t].
+"""Exact arithmetic in F_q for odd q and in F_q[t].
 
 Every base field F_q, prime or not, is a `Field` whose elements are the ints
 range(q), coded by their coefficient digits over F_p, with arithmetic by table
-lookup.  The residue fields of closed points of degree n >= 2 are `ExtField`s
-over their base Field, with elements tuples of n base elements, low degree
-first.  Every field carries the row kernel of elimination, `sub_scaled`
+lookup.  Every field carries the row kernel of elimination, `sub_scaled`
 (v - c*w on whole vectors) and `scaled` (c*w); a Field runs both by lookups
 in one table row per scalar c.  Polynomials over any field are trimmed tuples
 of elements, constant term first; () is the zero polynomial.  Field objects
 carry the arithmetic and are hashable, so they can key caches and sit inside
 the package's immutable value classes.
+
+The residue fields of closed points of degree >= 2 (`locus.ExtField`), square
+roots and factoring live in `locus`, which only a run that reaches a singular
+fiber or such a point loads.  The irreducibility test and the canonical
+modulus, which every non-prime field and the closed points need, stay here.
 """
 
 import itertools
+import operator
 
-from .errors import CharTwoUnsupported, FieldTooLarge, NotPrime, ZeroElement, ZeroPolynomial
+from .errors import CharTwoUnsupported, FieldTooLarge, NotPrime
 
 MAX_BASE_ORDER = 27
 
@@ -52,7 +56,9 @@ class Field(_Ops):
     digits, most significant first, are c_0, ..., c_{n-1}.  Int order is then
     the lexicographic order of coefficient vectors, and one is p^(n-1).  The
     prime field has modulus x.  Arithmetic is lookups in tables of q^2
-    entries built once at construction.
+    entries built once at construction: sums digit by digit, products and
+    inverses from the discrete log to the least generator of F_q^x, which
+    takes a few times q products of digit vectors.
     """
 
     def __init__(self, p, modulus=(0, 1)):
@@ -60,14 +66,26 @@ class Field(_Ops):
         self.degree = n = len(modulus) - 1
         self.order = q = p ** n
         self.zero, self.one = 0, p ** (n - 1)
-        vecs = [tuple(self.to_digits(a)) for a in range(q)]
-        code = {v: a for a, v in enumerate(vecs)}.__getitem__
-        table = lambda op: tuple(tuple(code(op(u, v)) for v in vecs) for u in vecs)
-        self._add = table(lambda u, v: tuple((x + y) % p for x, y in zip(u, v)))
-        self._sub = table(lambda u, v: tuple((x - y) % p for x, y in zip(u, v)))
-        self._mul = table(lambda u, v: _mul_mod(u, v, self.modulus, p))
-        self._neg = self._sub[0]
-        self._inv = (None,) + tuple(row.index(self.one) for row in self._mul[1:])
+        # sums digit by digit: the table on k digits is F_p's on the leading
+        # digit, laid over the table on the k - 1 digits after it
+        fp = [[(x + y) % p for y in range(p)] for x in range(p)]
+        add = fp
+        for k in range(1, n):
+            m = p ** k
+            add = [[s * m + x for s in fp[hi] for x in row] for hi in range(p) for row in add]
+        self._add = tuple(map(tuple, add))
+        self._neg = neg = tuple(row.index(0) for row in add)
+        self._sub = tuple(tuple(map(row.__getitem__, neg)) for row in add)
+        # products and inverses from the powers of the least generator of F_q^x
+        exp = _generator_powers(p, self.modulus)
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        logs = log[1:]
+        exp2 = exp + exp
+        self._mul = ((0,) * q,) + tuple((0,) + tuple(map(exp2[log[a]:].__getitem__, logs))
+                                        for a in range(1, q))
+        self._inv = (None,) + tuple(exp[-log[a]] for a in range(1, q))
 
     def add(self, a, b):
         return self._add[a][b]
@@ -143,73 +161,24 @@ def _mul_mod(u, v, modulus, p):
     return tuple(c % p for c in prod[:n])
 
 
-class ExtField(_Ops):
-    """Extension base[x]/(modulus) of a base Field, elements are tuples over the base.
+def _generator_powers(p, modulus):
+    """g^0, ..., g^(q-2) as ints, for g the least int that generates F_q^x.
 
-    Serves the residue fields kappa(P) of closed points of degree >= 2.
-    """
-
-    def __init__(self, base, modulus):
-        if len(modulus) < 2 or modulus[-1] != base.one:
-            raise ValueError("modulus must be monic of degree >= 1")
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.char = base.char
-        self.degree = len(modulus) - 1
-        self.order = base.order ** self.degree
-        self.zero = (base.zero,) * self.degree
-        self.one = self.embed(base.one)
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(self.base.neg(x) for x in a)
-
-    def mul(self, a, b):
-        return self.reduce(poly_mul(self.base, a, b))
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.order - 2)
-
-    def reduce(self, f):
-        """The image of a polynomial over the base, f(x) mod the modulus."""
-        r = poly_mod(self.base, f, self.modulus)
-        return r + (self.base.zero,) * (self.degree - len(r))
-
-    def embed(self, a):
-        """Lift a base field element into this extension."""
-        return (a,) + (self.base.zero,) * (self.degree - 1)
-
-    def elements(self):
-        return itertools.product(self.base.elements(), repeat=self.degree)
-
-    def to_index(self, a):
-        idx = 0
-        for x in reversed(a):
-            idx = idx * self.base.order + self.base.to_index(x)
-        return idx
-
-    def from_index(self, i):
-        out = []
-        for _ in range(self.degree):
-            i, r = divmod(i, self.base.order)
-            out.append(self.base.from_index(r))
-        return tuple(out)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtField) and other.base == self.base and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("ExtField", self.base, self.modulus))
-
-    def __repr__(self):
-        return f"F{self.order}"
+    Each candidate's powers are walked until they return to one, so a
+    candidate of order k costs k products of digit vectors."""
+    n = len(modulus) - 1
+    q, one = p ** n, p ** (n - 1)
+    weights = [p ** i for i in range(n - 1, -1, -1)]
+    code = lambda v: sum(map(operator.mul, v, weights))
+    for g in range(1, q):
+        gv = tuple(g // w % p for w in weights)
+        exp, u = [one], gv
+        while (x := code(u)) != one:
+            exp.append(x)
+            u = _mul_mod(u, gv, modulus, p)
+        if len(exp) == q - 1:
+            return exp
+    raise AssertionError("the multiplicative group has no generator")
 
 
 def _is_prime(m):
@@ -244,41 +213,6 @@ def canonical_modulus(F, n):
         if poly_is_irreducible(F, f):
             return f
     raise AssertionError("no irreducible of requested degree")
-
-
-def is_square(F, a):
-    """Euler criterion: a^((#F-1)/2) == 1; rejects a = 0."""
-    if a == F.zero:
-        raise ZeroElement("squareness of 0 is not defined here")
-    return F.pow(a, (F.order - 1) // 2) == F.one
-
-
-def sqrt(F, a):
-    """A square root of a nonzero square, via Tonelli-Shanks with a scanned nonresidue."""
-    if not is_square(F, a):
-        raise ValueError("not a square")
-    q = F.order
-    if q % 4 == 3:
-        return F.pow(a, (q + 1) // 4)
-    s, m = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        m += 1
-    z = next(x for x in F.elements() if x != F.zero and not is_square(F, x))
-    c = F.pow(z, s)
-    t = F.pow(a, s)
-    r = F.pow(a, (s + 1) // 2)
-    while t != F.one:
-        i, t2 = 0, t
-        while t2 != F.one:
-            t2 = F.mul(t2, t2)
-            i += 1
-        b = F.pow(c, 1 << (m - i - 1))
-        m = i
-        c = F.mul(b, b)
-        t = F.mul(t, c)
-        r = F.mul(r, b)
-    return r
 
 
 # --- polynomials over a field, as trimmed coefficient tuples ---
@@ -380,10 +314,6 @@ def poly_eval(F, f, x):
     return out
 
 
-def poly_deriv(F, f):
-    return poly_trim(F, [F.mul(F.from_int(i), c) for i, c in enumerate(f)][1:])
-
-
 def poly_is_irreducible(F, f):
     """Rabin test: x^{q^n} = x mod f, and gcd(x^{q^{n/r}} - x, f) = 1 for primes r | n."""
     n = deg(f)
@@ -398,71 +328,3 @@ def poly_is_irreducible(F, f):
         if deg(poly_gcd(F, poly_sub(F, h, x), f)) != 0:
             return False
     return poly_pow_mod(F, x, q ** n, f) == poly_mod(F, x, f)
-
-
-def _pth_root(F, f):
-    # f = g(t^p) with g_i = f_{p*i}^{q/p}, so that g has p-th power f
-    p = F.char
-    e = F.order // p
-    return tuple(F.pow(f[i], e) for i in range(0, len(f), p))
-
-
-def _ddf_edf(F, f):
-    """Distinct-degree then deterministic equal-degree split of a squarefree monic f."""
-    out = []
-    q = F.order
-    x = (F.zero, F.one)
-    xq = poly_pow_mod(F, x, q, f)
-    frob = xq
-    k = 1
-    rest = f
-    while deg(rest) >= 2 * k:
-        g = poly_gcd(F, poly_sub(F, poly_mod(F, frob, rest), x), rest)
-        if deg(g) > 0:
-            out.extend(_edf(F, g, k))
-            rest = poly_divmod(F, rest, g)[0]
-        k += 1
-        frob = poly_pow_mod(F, frob, q, f)
-    if deg(rest) > 0:
-        out.append(rest)
-    return out
-
-
-def _edf(F, f, k):
-    """Split a product of distinct degree-k irreducibles by scanning split candidates."""
-    if deg(f) == k:
-        return [f]
-    half = (F.order ** k - 1) // 2
-    for m in range(1, 2 * k + 1):
-        for low in itertools.product(F.elements(), repeat=m):
-            u = poly_trim(F, tuple(low) + (F.one,))
-            w = poly_pow_mod(F, u, half, f)
-            g = poly_gcd(F, poly_sub(F, w, (F.one,)), f)
-            if 0 < deg(g) < deg(f):
-                return _edf(F, g, k) + _edf(F, poly_divmod(F, f, g)[0], k)
-    raise AssertionError("equal-degree split not found")
-
-
-def factor_poly(F, f):
-    """Factor f into monic irreducibles; returns (unit, {factor: multiplicity})."""
-    f = poly_trim(F, f)
-    if not f:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    unit = f[-1]
-    out = {}
-    _factor_monic(F, poly_monic(F, f), out, 1)
-    return unit, out
-
-
-def _factor_monic(F, f, out, mult):
-    if deg(f) <= 0:
-        return
-    fp = poly_deriv(F, f)
-    if not fp:
-        _factor_monic(F, _pth_root(F, f), out, mult * F.char)
-        return
-    g = poly_gcd(F, f, fp)
-    sqf = poly_divmod(F, f, g)[0]
-    for h in _ddf_edf(F, sqf):
-        out[h] = out.get(h, 0) + mult
-    _factor_monic(F, g, out, mult)

@@ -41,6 +41,7 @@ from `picard.sub_classes` and build no member; only the pool builds a class.
 """
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress, count
@@ -212,8 +213,10 @@ def _check_budget(q, dim, budget):
     """
     steps = q ** dim
     if steps > budget:
-        raise EnumerationBudgetExceeded(
-            f"{q}^{dim} = {steps} scan steps exceed the budget {budget}")
+        # a q^dim past Python's int-to-str limit is written without its digits
+        limit = sys.get_int_max_str_digits()
+        shown = f"{q}^{dim}" if limit and steps >= 10 ** limit else f"{q}^{dim} = {steps}"
+        raise EnumerationBudgetExceeded(f"{shown} scan steps exceed the budget {budget}")
 
 
 def _vertical_series(q, degrees, n):

@@ -63,9 +63,11 @@ def _tri_count(F, pool, n):
     Only the rank is read, so a node keeps a semi-echelon basis: each row is 1
     at its pivot and 0 at earlier rows' pivots, so reducing in insertion order
     is exact, and rows never change, so a child copies only the list.  A spanning
-    subset and all its supersets add 0."""
+    subset and all its supersets add 0, so a block that spans on its own is
+    dropped before the walk; only a block of n rows or more can."""
     if n == 0 or not all(pool):
         return 0  # every member contains the component of an empty block
+    pool = [blk for blk in pool if len(blk) < n or len(conditions._rref(F, blk)[1]) < n]
     q = F.order
     total = 0
 

@@ -16,6 +16,21 @@ from conic_census.bundle import BinaryForm, bf_mul, fiber_lines, point_form
 from conic_census.errors import OutsideConvergenceRegion
 
 
+def field_tables(F):
+    """F's `_add`, `_sub`, `_mul`, `_neg` and `_inv` rebuilt from digit vectors:
+    q^2 sums, differences and products of coefficient vectors, the reference
+    for the tables `gf.Field` builds from one discrete log."""
+    p = F.char
+    vecs = [tuple(F.to_digits(a)) for a in F.elements()]
+    code = {v: a for a, v in enumerate(vecs)}.__getitem__
+    table = lambda op: tuple(tuple(code(op(u, v)) for v in vecs) for u in vecs)
+    add = table(lambda u, v: tuple((x + y) % p for x, y in zip(u, v)))
+    sub = table(lambda u, v: tuple((x - y) % p for x, y in zip(u, v)))
+    mul = table(lambda u, v: gf._mul_mod(u, v, F.modulus, p))
+    inv = (None,) + tuple(row.index(F.one) for row in mul[1:])
+    return add, sub, mul, sub[0], inv
+
+
 def _values(blocks, x, start, p):
     """Per block, the tuple of its rows' values on the coordinates x placed at start."""
     return tuple(tuple(sum(map(mul, r[start:], x)) % p for r in blk) for blk in blocks)

@@ -319,6 +319,24 @@ def test_main_precision_above_the_string_limit(tmp_path, capsys):
     assert decimal.startswith("11.5555") and len(decimal.split(".")[1]) == 4300
 
 
+@pytest.mark.parametrize("task, status", [("predict", 0), ("compare", 3)])
+def test_main_height_above_the_string_limit(tmp_path, capsys, task, status):
+    # at e = 8000 the predicted count, about 3^12000, has more digits than
+    # Python converts to a string: predict and the refused compare row both
+    # exit 2 with one line; at e = 6000 both still report
+    document = doc(dict(TRIVIAL, bundle={"l": 0, "a": [1], "b": [1], "c": [2]}),
+                   task, d=2, e_list=[8000])
+    assert run_main(tmp_path, document) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error at params.e_list: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    document["params"]["e_list"] = [6000]
+    assert run_main(tmp_path, document) == status
+    assert json.loads(capsys.readouterr().out)["task"] == task
+
+
 def test_main_jobs_byte_identity(tmp_path, capsys):
     document = doc(TRIVIAL, "compare", d=2, e_list=[2, 4])
     assert run_main(tmp_path, document, "--jobs", "1") == 0
@@ -503,28 +521,35 @@ def test_cli_run_imports_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
+LOCUS, EULER = "conic_census.locus", "conic_census.euler"
 LAZY = ("conic_census.census", "conic_census.linsys", "conic_census.picard",
         "conic_census.conditions", "conic_census.pool", "conic_census.sections",
-        "conic_census.numberfield", "csv")
+        "conic_census.numberfield", "csv", LOCUS, EULER)
+NINE = dict(TRIVIAL, field={"q": 9},
+            bundle={"l": 0, "a": [[1, 0]], "b": [[0, 1]], "c": [[1, 1]]})
 
 
 @pytest.mark.parametrize("document, loaded", [
     (None, []),
     (doc(TRIVIAL, "classify"), []),
-    (doc(TRIVIAL, "zeta", s=2), []),
+    (doc(MIXED, "classify"), [LOCUS]),
+    (doc(TRIVIAL, "zeta", s=2), [EULER]),
     (doc(TRIVIAL, "compare", d=2, e_list=[2]), list(LAZY[:3])),
+    (doc(NINE, "compare", d=2, e_list=[2]), list(LAZY[:3])),
     (doc(TRIVIAL, "predict", d=2, e_list=[4]), list(LAZY[:3])),
-    (doc(MIXED, "enumerate", d=2, e=3), list(LAZY[1:4])),
-    (doc(MIXED, "compare", d=2, e_list=[2]), list(LAZY[:4])),
-    (doc(MIXED, "compare", d=4, e_list=[2]), list(LAZY[:5]))],
-    ids=["import", "classify", "zeta", "compare-json", "predict", "enumerate-l1",
-         "compare-l1-d2", "compare-l1-d4"])
+    (doc(MIXED, "enumerate", d=2, e=3), list(LAZY[1:4]) + [LOCUS]),
+    (doc(MIXED, "compare", d=2, e_list=[2]), list(LAZY[:4]) + [LOCUS]),
+    (doc(MIXED, "compare", d=4, e_list=[2]), list(LAZY[:5]) + [LOCUS])],
+    ids=["import", "classify", "classify-l1", "zeta", "compare-json", "compare-f9-l0",
+         "predict", "enumerate-l1", "compare-l1-d2", "compare-l1-d4"])
 def test_cli_loads_only_the_engines_its_task_calls(document, loaded):
     # with PYTHONDONTWRITEBYTECODE every module a run loads is compiled from
     # source, so a task that counts nothing must not load the counting engines,
     # an l = 0 count loads no condition row, only a class with lines loads
     # `conditions`, only the subset sum (l >= 1, d >= 4) loads `pool`, and no
-    # task loads the section API or the number-field analogue
+    # task loads the section API or the number-field analogue; an l = 0
+    # bundle has no singular fiber, so only l >= 1 loads `locus`, and only
+    # the zeta task loads the Euler enclosure
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = "import sys, conic_census.cli as cli\n"
     if document is not None:

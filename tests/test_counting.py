@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -268,6 +269,18 @@ def test_budget_refusal_is_not_truncation():
         with pytest.raises(EnumerationBudgetExceeded) as refused:
             linsys.prime_count(b_double(), d, e, budget=9)
         assert str(refused.value) == want, (d, e)
+
+
+def test_budget_refusal_of_a_size_too_long_to_print():
+    # Python converts at most 4300 digits of an int to a string: 3^9012 has
+    # 4300 digits and is written out, 3^9013 has 4301 and is not
+    limit = sys.get_int_max_str_digits()
+    assert len(str(3 ** 9012)) == limit
+    for dim, want in ((9012, f"3^9012 = {3 ** 9012} scan steps exceed the budget 9"),
+                      (9013, "3^9013 scan steps exceed the budget 9")):
+        with pytest.raises(EnumerationBudgetExceeded) as refused:
+            linsys._check_budget(3, dim, 9)
+        assert str(refused.value) == want, dim
 
 
 def test_prime_counts_frozen_values():
@@ -553,6 +566,36 @@ def test_tri_count_hand_built_pools(F):
         want = _brute_pool_count(F, pool, n)
         assert subset_sum._tri_count(F, pool, n) == want, name
     assert _brute_pool_count(F, pools["no blocks"], n) == (F.order ** n - 1) // (F.order - 1)
+
+
+@pytest.mark.parametrize("F", [F3, F9], ids=["F3", "F9"])
+def test_tri_count_drops_a_spanning_block(F, monkeypatch):
+    # every subset that holds a block spanning F^n adds q^0 - 1 = 0, so the
+    # block changes no count wherever it sits, and the walk never reaches it:
+    # the only rows it costs are those of its own rank check
+    n = 4
+    rng = random.Random(5)
+    elems = list(F.elements())
+    span = [[F.one if j == i else F.zero for j in range(n)] for i in range(n)][::-1]
+    pools = [[[[rng.choice(elems) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+              for _ in range(5)] for _ in range(6)]
+    pools.append([[row] for row in span[:2]])
+    appended = []
+    append_row = conditions._append_row
+
+    def counting(*args):
+        appended.append(1)
+        return append_row(*args)
+
+    monkeypatch.setattr(conditions, "_append_row", counting)
+    for pool in pools:
+        appended.clear()
+        want = subset_sum._tri_count(F, pool, n)
+        walk = len(appended)
+        for at in (0, 2, len(pool)):
+            appended.clear()
+            assert subset_sum._tri_count(F, pool[:at] + [span] + pool[at:], n) == want, at
+            assert len(appended) == walk + n, at
 
 
 @pytest.mark.parametrize("F, l, a, b, c, e_max", [

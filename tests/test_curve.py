@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 import oracles
-from conic_census import census, curve, gf
+from conic_census import census, curve, euler, gf
 from conic_census.errors import OutsideConvergenceRegion
 
 
@@ -94,7 +94,7 @@ def test_zeta_truncated_matches_fraction_product(p, n, top):
             # narrow widths round nearly every step, so a bound rounded the
             # wrong way shows
             for bits in (3, 8, 20):
-                assert _encloses(curve._enclose(F.order, s, enc.counts, bits), got)
+                assert _encloses(euler._enclose(F.order, s, enc.counts, bits), got)
 
 
 def test_zeta_truncated_makes_no_gcd_calls(monkeypatch):
@@ -144,7 +144,7 @@ def test_zeta_floor_decimals_match_exact_oracle(q):
                 assert census.decimal_of_fraction(enc.floor_decimal(digits), digits) == want
             # from a few bits, the first enclosures straddle a digit boundary
             for bits in range(1, 8):
-                narrow = curve._enclose(F.order, s, enc.counts, bits)
+                narrow = euler._enclose(F.order, s, enc.counts, bits)
                 assert narrow.floor_decimal(2) == Fraction(math.floor(exact * 100), 100)
             gap = enc.floor_decimal(50, closed)
             assert census.decimal_of_fraction(gap, 50) == (
@@ -171,7 +171,7 @@ def test_zeta_floor_decimal_on_a_decimal_boundary():
     assert census.decimal_of_fraction(enc.floor_decimal(12), 12) == "1.601806640625"
     assert enc.floor_decimal(12) == Fraction(6561, 4096)
     # from 2 bits the enclosure is rebuilt at 4, 8 and 16 before x is built
-    narrow = curve._enclose(3, 2, enc.counts, 2)
+    narrow = euler._enclose(3, 2, enc.counts, 2)
     assert narrow.lo < narrow.hi
     assert narrow.floor_decimal(12) == Fraction(6561, 4096)
     # |closed - x| when closed is x (enclosure straddles 0), lies below x

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from conic_census import curve, gf
+import oracles
+from conic_census import curve, gf, locus
 from conic_census.errors import CharTwoUnsupported, FieldTooLarge, NotPrime, ZeroElement, ZeroPolynomial
 
 
@@ -96,32 +97,32 @@ def test_is_square_exhaustive():
         for x in F.elements():
             if x == F.zero:
                 with pytest.raises(ZeroElement):
-                    gf.is_square(F, x)
+                    locus.is_square(F, x)
             else:
-                assert gf.is_square(F, x) == (x in squares)
+                assert locus.is_square(F, x) == (x in squares)
                 if x in squares:
-                    r = gf.sqrt(F, x)
+                    r = locus.sqrt(F, x)
                     assert F.mul(r, r) == x
 
 
 def test_minus_one_squareness():
     F3 = gf.make_field(3)
-    assert not gf.is_square(F3, F3.neg(F3.one))
+    assert not locus.is_square(F3, F3.neg(F3.one))
     F9 = gf.make_field(3, 2)
-    assert gf.is_square(F9, F9.neg(F9.one))
+    assert locus.is_square(F9, F9.neg(F9.one))
     F5 = gf.make_field(5)
-    assert gf.is_square(F5, F5.neg(F5.one))
+    assert locus.is_square(F5, F5.neg(F5.one))
 
 
 def test_factor_examples():
     F3 = gf.make_field(3)
     t2_minus_1 = (2, 0, 1)
-    unit, fac = gf.factor_poly(F3, t2_minus_1)
+    unit, fac = locus.factor_poly(F3, t2_minus_1)
     assert unit == 1
     assert fac == {(1, 1): 1, (2, 1): 1}  # (t+1)(t+2)
-    unit, fac = gf.factor_poly(F3, (1, 0, 1))
+    unit, fac = locus.factor_poly(F3, (1, 0, 1))
     assert fac == {(1, 0, 1): 1}
-    unit, fac = gf.factor_poly(F3, (0, 2, 0, 1))  # t^3 + 2t = t(t^2+2)... factor check below
+    unit, fac = locus.factor_poly(F3, (0, 2, 0, 1))  # t^3 + 2t = t(t^2+2)... factor check below
     total = (0, 2, 0, 1)
     prod = (unit,)
     for g, m in fac.items():
@@ -129,7 +130,7 @@ def test_factor_examples():
             prod = gf.poly_mul(F3, prod, g)
     assert prod == total
     with pytest.raises(ZeroPolynomial):
-        gf.factor_poly(F3, ())
+        locus.factor_poly(F3, ())
 
 
 def test_factor_roundtrip_exhaustive_f3():
@@ -137,7 +138,7 @@ def test_factor_roundtrip_exhaustive_f3():
     for n in range(1, 7):
         for low in itertools.product(range(3), repeat=n):
             f = gf.poly_trim(F3, low + (1,))
-            unit, fac = gf.factor_poly(F3, f)
+            unit, fac = locus.factor_poly(F3, f)
             prod = (unit,)
             for g, m in fac.items():
                 assert g[-1] == 1
@@ -154,13 +155,13 @@ def test_factor_multiplicities_char_p():
     F3 = gf.make_field(3)
     t = (0, 1)
     f = gf.poly_mul(F3, gf.poly_mul(F3, t, t), gf.poly_mul(F3, t, (1, 1)))  # t^3 (t+1)
-    _, fac = gf.factor_poly(F3, f)
+    _, fac = locus.factor_poly(F3, f)
     assert fac == {(0, 1): 3, (1, 1): 1}
     f6 = (0, 0, 0, 0, 0, 0, 1)  # t^6
-    _, fac = gf.factor_poly(F3, f6)
+    _, fac = locus.factor_poly(F3, f6)
     assert fac == {(0, 1): 6}
     assert max(fac.values()) > 1  # t^6 is not squarefree
-    _, fac = gf.factor_poly(F3, (2, 0, 1))
+    _, fac = locus.factor_poly(F3, (2, 0, 1))
     assert set(fac.values()) == {1}  # t^2 + 2 = (t + 1)(t + 2) is squarefree
 
 
@@ -171,7 +172,7 @@ def test_factor_extension_field_sampled():
     for _ in range(40):
         n = rng.randint(1, 5)
         f = gf.poly_trim(F9, tuple(rng.choice(elems) for _ in range(n)) + (F9.one,))
-        unit, fac = gf.factor_poly(F9, f)
+        unit, fac = locus.factor_poly(F9, f)
         prod = (unit,)
         for g, m in fac.items():
             for _ in range(m):
@@ -203,11 +204,11 @@ def test_residue_field_tower():
     for low in itertools.product(F9.elements(), repeat=2):
         f = tuple(low) + (F9.one,)
         if gf.poly_is_irreducible(F9, f):
-            K = gf.ExtField(F9, f)
+            K = locus.ExtField(F9, f)
             assert K.order == 81
             a = K.from_index(5)
             assert K.mul(a, K.inv(a)) == K.one if a != K.zero else True
-            assert gf.is_square(K, K.mul(a, a)) if a != K.zero else True
+            assert locus.is_square(K, K.mul(a, a)) if a != K.zero else True
             break
     else:
         raise AssertionError("no irreducible quadratic over F9 found")
@@ -217,7 +218,7 @@ def test_residue_field_tower():
 def test_extension_tables_match_tuple_arithmetic(p, n):
     # oracle: the same field as tuples over F_p, with polynomial arithmetic
     F = gf.make_field(p, n)
-    E = gf.ExtField(gf.make_field(p), F.modulus)
+    E = locus.ExtField(gf.make_field(p), F.modulus)
     vec = lambda a: tuple(F.to_digits(a))
     elems = list(F.elements())
     assert [vec(a) for a in elems] == list(E.elements())
@@ -272,7 +273,7 @@ def test_row_kernel_on_residue_field():
     # F9 has the same modulus, so its table kernel is the oracle
     F3, F9 = gf.make_field(3), gf.make_field(3, 2)
     K = curve.residue_field(F3, curve.point_from_poly(F3, (1, 0, 1)))
-    assert type(K) is gf.ExtField and K.modulus == F9.modulus
+    assert type(K) is locus.ExtField and K.modulus == F9.modulus
     vec = lambda a: tuple(F9.to_digits(a))
     pairs = list(itertools.product(F9.elements(), repeat=2))
     v, w = [x for x, _ in pairs], [y for _, y in pairs]
@@ -280,6 +281,21 @@ def test_row_kernel_on_residue_field():
         want = [vec(z) for z in F9.sub_scaled(v, c, w)]
         assert K.sub_scaled([vec(x) for x in v], vec(c), [vec(y) for y in w]) == want
         assert K.scaled(vec(c), [vec(y) for y in w]) == [vec(z) for z in F9.scaled(c, w)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27])
+def test_tables_match_the_digit_vector_reference(q, monkeypatch):
+    # the tables from one discrete log equal q^2 operations on digit vectors,
+    # and take fewer than 3q products of digit vectors to build
+    p, n = {9: (3, 2), 25: (5, 2), 27: (3, 3)}.get(q, (q, 1))
+    modulus = gf.make_field(p, n).modulus
+    products = []
+    mul_mod = gf._mul_mod
+    monkeypatch.setattr(gf, "_mul_mod", lambda *args: products.append(1) or mul_mod(*args))
+    F = gf.Field(p, modulus)
+    monkeypatch.undo()
+    assert 0 < len(products) < 3 * q
+    assert (F._add, F._sub, F._mul, F._neg, F._inv) == oracles.field_tables(F)
 
 
 def test_from_digits_messages():

@@ -569,6 +569,23 @@ def test_cols_refuses_conic_multiples_with_one_leading_column(monkeypatch):
         linsys._cols.__wrapped__(b_mixed(), 2, 1)
 
 
+def test_ann_rows_refuse_rows_that_miss_a_conic_multiple(monkeypatch):
+    # one extra kernel vector that does not kill the last conic multiple's
+    # image in S: its row survives the rref, and the check over the nonzero
+    # entries of the conic multiples still finds it
+    nullspace = conditions._nullspace
+
+    def leaky(F, rows, n):
+        j = next(j for j, c in enumerate(rows[-1]) if c != F.zero)
+        return nullspace(F, rows, n) + [[F.one if i == j else F.zero for i in range(n)]]
+
+    monkeypatch.setattr(conditions, "_nullspace", leaky)
+    conditions._ann_rows.cache_clear()
+    for P, side in ((P_T1, "E"), (P_INF, "full")):
+        with pytest.raises(AssertionError, match="conic multiples escaped the condition kernel"):
+            conditions._ann_rows(b_mixed(), 2, 3, P, side, 1)
+
+
 def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
     # the elimination runs in |monos| deg pi columns whatever A is: 30 for
     # dprime 4 (15 monomials) and deg pi 2, where the layout has 615 columns
