@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import curve
+from . import curve, linsys, picard
 from .bundle import FiberClass
 # kept as a census name: tests and perfbench's traced spans read it here
 from .curve import decimal_of_fraction  # noqa: F401
@@ -198,9 +198,7 @@ def _bundle_catalog(b):
 
 
 def _b_range(d, deg):
-    from . import picard  # imported here, as in compare_table: zeta loads census alone
-
-    return picard.twist_cap(d // 2, deg)
+    return picard.twist_cap(d, deg)
 
 
 def k_bar_catalog(q, d, c1_degrees, c2_degrees, bbar):
@@ -275,8 +273,6 @@ def predict(b, cv, d, e):
 
 def compare_table(b, cv, d, e_list, budget=None):
     """Predicted versus enumerated counts, one row per height."""
-    from . import linsys, picard
-
     rows = []
     for e in e_list:
         main, err = predict(b, cv, d, e)

@@ -310,7 +310,7 @@ def _task_predict(cfg):
         "leading_coeff": _sqrt_obj(census.leading_coeff(b, cv, d), prec),
     }
     if cv.genus == 0:
-        results["N_emp"] = linsys.scan_dimension_threshold(b, cv, d)
+        results["N_emp"] = linsys.scan_dimension_threshold(b, d)
     if prm["e_list"]:
         results["predictions"] = []
         for e in prm["e_list"]:
@@ -340,7 +340,7 @@ def _task_enumerate(cfg):
             row["refused"] = str(exc)
             status = 3
         heights.append(row)
-    return {"N_emp": linsys.scan_dimension_threshold(b, curve.P1_CURVE, d),
+    return {"N_emp": linsys.scan_dimension_threshold(b, d),
             "heights": heights, "partial": status != 0}, status
 
 
@@ -366,7 +366,7 @@ def _task_compare(cfg):
                      "enumerated_Mf": row["enumerated_Mf"],
                      "enumerated_M": row["enumerated_M"],
                      "ratio": _sqrt_obj(row["ratio"], prec)})
-    return {"N_emp": linsys.scan_dimension_threshold(b, curve.P1_CURVE, d),
+    return {"N_emp": linsys.scan_dimension_threshold(b, d),
             "rows": rows, "partial": status != 0}, status
 
 

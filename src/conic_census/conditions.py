@@ -93,27 +93,27 @@ def _conditions(b, D):
     (`_append_row`); none on l = 0.  H^0(D) is their kernel there, so its dim
     is len(cols) - len(ech).  The rows and pivots are those of appending
     every block in turn to one basis (`_echelon`)."""
-    dp, A, lines = _layout(b, D)
-    return (_cols(b, dp, A), *_echelon(b, dp, A, lines))
+    d, A, lines = _layout(b, D)
+    return (_cols(b, d, A), *_echelon(b, d, A, lines))
 
 
-def _echelon(b, dp, A, lines):
+def _echelon(b, d, A, lines):
     """(ech, piv) of the condition blocks of `lines` in order, as new lists:
     the memoized echelon of lines[:-1] with the last block appended.  An
     appended row is never changed, so the copy shares the rows."""
     if not lines:
         return [], []
-    ech, piv = map(list, _prefix_echelon(b, dp, A, lines[:-1]))
-    for row in _line_rows_on_cols(b, dp, A, *lines[-1]):
+    ech, piv = map(list, _prefix_echelon(b, d, A, lines[:-1]))
+    for row in _line_rows_on_cols(b, d, A, *lines[-1]):
         _append_row(b.field, ech, piv, row)
     return ech, piv
 
 
 @lru_cache(maxsize=None)
-def _prefix_echelon(b, dp, A, lines):
+def _prefix_echelon(b, d, A, lines):
     """`_echelon` of a proper prefix of a class's lines, which classes of one
-    (dp, A) share; a class's full echelon is not kept."""
-    ech, piv = _echelon(b, dp, A, lines)
+    (d, A) share; a class's full echelon is not kept."""
+    ech, piv = _echelon(b, d, A, lines)
     return tuple(ech), tuple(piv)
 
 
@@ -121,8 +121,8 @@ def _prefix_echelon(b, dp, A, lines):
 
 
 @lru_cache(maxsize=None)
-def _ann_rows(b, dp, A, P, side, level):
-    """Rows over F, in rref, whose joint kernel in the layout of (dp, A) is
+def _ann_rows(b, d, A, P, side, level):
+    """Rows over F, in rref, whose joint kernel in the layout of (d, A) is
     (component ideal)^level plus the conic multiples.
 
     A full fiber's ideal is (p_P), taken over F.  A line's is (p, L) at one
@@ -136,7 +136,7 @@ def _ann_rows(b, dp, A, P, side, level):
     generators of a line's, so ker R lies in I, and the rows killing I plus the
     conic multiples Z are psi o R for the psi killing R(I) + R(Z)."""
     F = b.field
-    monos = _monos(b, dp)
+    monos = _monos(b, d)
     if A < 0 or not monos or level < 1:
         return ()
     if side == "full":
@@ -170,11 +170,11 @@ def _ann_rows(b, dp, A, P, side, level):
                     nxt[MM] = K.add(nxt.get(MM, K.zero), K.mul(cm, cv))
             lpow.append(nxt)
         midx = {mm: i for i, mm in enumerate(monos)}
-        # p^i L^(level - i) times every monomial of degree dp - (level - i);
+        # p^i L^(level - i) times every monomial of degree d/2 - (level - i);
         # i = level spans the kernel of R and is left out
         terms = [(powers[i], [tuple((midx[(mc[0] + ml[0], mc[1] + ml[1], mc[2] + ml[2])], cl)
                                     for ml, cl in lpow[level - i].items())
-                              for mc in monomial_basis(dp - level + i)])
+                              for mc in monomial_basis(d // 2 - level + i)])
                  for i in range(level)]
     # res[tau] is t^tau s^(A - tau) mod pi in the chart where pi is monic: u = t
     # at a finite point, u = s (exponent A - tau) at infinity.  nres holds
@@ -198,7 +198,7 @@ def _ann_rows(b, dp, A, P, side, level):
                     row[m * n:(m + 1) * n] = K.scaled(cl, beta)
                 S.append(row)
     emb = (lambda c: c) if K is F else K.embed
-    zrows = _z_source_rows(b, dp, A)
+    zrows = _z_source_rows(b, d, A)
     for z in zrows:
         row = [K.zero] * width
         for j in compress(range(len(z)), z):  # the nonzero entries: F's zero is 0
@@ -230,6 +230,6 @@ def _ann_rows(b, dp, A, P, side, level):
 
 
 @lru_cache(maxsize=None)
-def _line_rows_on_cols(b, dp, A, P, side, level):
+def _line_rows_on_cols(b, d, A, P, side, level):
     """`_ann_rows` of a line restricted to `_cols`, once per cached block."""
-    return tuple([r[j] for j in _cols(b, dp, A)] for r in _ann_rows(b, dp, A, P, side, level))
+    return tuple([r[j] for j in _cols(b, d, A)] for r in _ann_rows(b, d, A, P, side, level))

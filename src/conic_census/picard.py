@@ -8,7 +8,8 @@ Pairing table per closed point P of degree m: H.H = l, H.F = 2, H.E = m,
 F.F = F.E = 0, E.E = E'.E' = -m, E.E' = +m.
 
 dprime is allowed to be a half-integer Fraction on bundles with l = 0, where
-the hyperplane class has square zero and odd fiber degrees exist.
+the hyperplane class has square zero and odd fiber degrees exist.  Canonical
+coordinates (d, a, cs) carry d = 2 dprime as an int (`coords`, `from_coords`).
 """
 
 import functools
@@ -171,7 +172,7 @@ def swap_component(b, D, P):
 
 def is_normalized(b, D):
     """Stored coefficients lie in [0, `twist_cap`] for every split point."""
-    return D.dprime >= 0 and all(0 <= c <= twist_cap(D.dprime, P.degree) for P, _, c in D.parts)
+    return D.dprime >= 0 and all(0 <= c <= twist_cap(2 * D.dprime, P.degree) for P, _, c in D.parts)
 
 
 def normalize(b, D):
@@ -183,38 +184,30 @@ def normalize(b, D):
     return out
 
 
-# --- canonical coordinates (dp, a, cs): cs the E-side coefficients in `b.split_points` order ---
+# --- canonical coordinates (d, a, cs): d = 2 dprime, cs the E-side coefficients by `split_points` ---
 
 
-def twist_cap(dp, deg):
-    """The twist box: |c_P| <= floor(dp / deg P) at a split point of degree deg."""
-    return dp // deg
+def twist_cap(d, deg):
+    """The twist box: |c_P| <= floor(dprime / deg P) at a split point of degree deg."""
+    return d // (2 * deg)
 
 
-def half_degree(b, d):
-    """dprime of fiber degree d: d/2, a half-integer only on l = 0; None for
-    odd d on l >= 1, where the lattice has no such class."""
-    if d % 2 == 0:
-        return d // 2
-    return Fraction(d, 2) if b.l == 0 else None
-
-
-def height(b, dp, a, cs):
-    """e = D.H = dp l + 2a + sum of c_P deg P; dp l is 0 whenever dp is a half-integer."""
-    return int(dp * b.l) + 2 * a + sum(c * P.degree for c, P in zip(cs, b.split_points))
+def height(b, d, a, cs):
+    """e = D.H = dprime l + 2a + sum of c_P deg P; d is odd only on l = 0."""
+    return d * b.l // 2 + 2 * a + sum(c * P.degree for c, P in zip(cs, b.split_points))
 
 
 def coords(b, D):
-    """The canonical coordinates (dp, a, cs) of a class."""
+    """The canonical coordinates (d, a, cs) of a class."""
     _check_points(b, D)
     dp, a, bs = D.canonical()
-    return dp, a, tuple(dict(bs).get(P, 0) for P in b.split_points)
+    return int(2 * dp), a, tuple(dict(bs).get(P, 0) for P in b.split_points)
 
 
 def from_coords(b, D):
-    """The class of canonical coordinates D = (dp, a, cs)."""
-    dp, a, cs = D
-    return class_from_canonical(dp, a, dict(zip(b.split_points, cs)))
+    """The class of canonical coordinates D = (d, a, cs)."""
+    d, a, cs = D
+    return class_from_canonical(Fraction(d, 2), a, dict(zip(b.split_points, cs)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,28 +218,28 @@ def _key_terms(b):
 
 
 def coord_key(b, D):
-    """The one sort key of classes, on coordinates D = (dp, a, cs): dp, a, then
+    """The one sort key of classes, on coordinates D = (d, a, cs): d, a, then
     (point, c_P) over the nonzero twists in the order of the parts."""
-    dp, a, cs = D
-    return dp, a, tuple((pk, cs[i]) for i, pk in _key_terms(b) if cs[i])
+    d, a, cs = D
+    return d, a, tuple((pk, cs[i]) for i, pk in _key_terms(b) if cs[i])
 
 
-def twist_box(b, dp):
-    """Every twist tuple cs of fiber half-degree dp, each c_P in its box (`twist_cap`)."""
-    return itertools.product(*(range(-twist_cap(dp, P.degree), twist_cap(dp, P.degree) + 1)
+def twist_box(b, d):
+    """Every twist tuple cs of fiber degree d, each c_P in its box (`twist_cap`)."""
+    return itertools.product(*(range(-twist_cap(d, P.degree), twist_cap(d, P.degree) + 1)
                                for P in b.split_points))
 
 
 def canonical_of_type(b, d, e):
     """The classes of type (d, e) in canonical coordinates, every twist in its
-    box (`twist_box`); unsorted, and no class is built."""
-    dp = half_degree(b, d)
-    if dp is None:
+    box (`twist_box`); unsorted, and no class is built.  On l >= 1 an odd d
+    has none: dprime is an integer there."""
+    if d % 2 and b.l:
         return
-    for cs in twist_box(b, dp):
-        num = e - height(b, dp, 0, cs)
+    for cs in twist_box(b, d):
+        num = e - height(b, d, 0, cs)
         if num % 2 == 0:
-            yield dp, num // 2, cs
+            yield d, num // 2, cs
 
 
 def classes_of_type(b, d, e):
@@ -255,29 +248,29 @@ def classes_of_type(b, d, e):
             for D in sorted(canonical_of_type(b, d, e), key=functools.partial(coord_key, b))]
 
 
-def sub_classes(b, dp, a, cs):
-    """The ordered pairs (E, D - E) of nonzero classes summing to D = (dp, a, cs),
+def sub_classes(b, d, a, cs):
+    """The ordered pairs (E, D - E) of nonzero classes summing to D = (d, a, cs),
     each side's twists in its box and its height in [0, e], vertical sides
-    (dp = 0) included.  They go by the lesser side E in `coord_key` order:
+    (d = 0) included.  They go by the lesser side E in `coord_key` order:
     (E, D - E), then (D - E, E) unless the two are equal."""
-    d, e = int(2 * dp), height(b, dp, a, cs)
+    e = height(b, d, a, cs)
     key = functools.partial(coord_key, b)
     lower = []
     for d1 in range(d // 2 + 1):
-        dp1, dp2 = half_degree(b, d1), half_degree(b, d - d1)
-        if dp1 is None:
+        d2 = d - d1
+        if d1 % 2 and b.l:
             continue
-        boxes = [range(max(-twist_cap(dp1, P.degree), c - twist_cap(dp2, P.degree)),
-                       min(twist_cap(dp1, P.degree), c + twist_cap(dp2, P.degree)) + 1)
+        boxes = [range(max(-twist_cap(d1, P.degree), c - twist_cap(d2, P.degree)),
+                       min(twist_cap(d1, P.degree), c + twist_cap(d2, P.degree)) + 1)
                  for c, P in zip(cs, b.split_points)]
         for cs1 in itertools.product(*boxes):
             cs2 = tuple(c - c1 for c, c1 in zip(cs, cs1))
-            h1 = height(b, dp1, 0, cs1)
+            h1 = height(b, d1, 0, cs1)
             for a1 in range(-(h1 // 2), (e - h1) // 2 + 1):  # heights h1 + 2 a1 in [0, e]
                 e1 = h1 + 2 * a1
                 if (d1 == 0 and e1 == 0) or (d1 == d and e1 == e):
                     continue  # the zero class is not a genuine factor
-                E, R = (dp1, a1, cs1), (dp2, a - a1, cs2)
+                E, R = (d1, a1, cs1), (d2, a - a1, cs2)
                 kE = key(E)
                 if 2 * d1 < d or kE <= key(R):
                     lower.append((kE, E, R))

@@ -1,5 +1,5 @@
 """The component pool and the subset sum over it: fiber-free counts on l >= 1
-with dprime >= 2, where the model dims and the containment rows disagree on
+with d >= 4, where the model dims and the containment rows disagree on
 some classes (ROADMAP item 2), so `linsys._fiberfree` counts here instead of
 sieving over dims, and loads this module only then.
 
@@ -19,12 +19,12 @@ def _containment_rows(b, D, P, side):
     """Flat rows expressing that the member divisor contains the component; a
     full fiber over a split point is both its lines, and a line asks one order
     above the one the class's `_layout` already forces there."""
-    dp, A, lines = _layout(b, D)
+    d, A, lines = _layout(b, D)
     if side == "full" and P not in b.split_points:
-        return conditions._ann_rows(b, dp, A, P, "full", 1)
+        return conditions._ann_rows(b, d, A, P, "full", 1)
     forced = {(Q, ls): c for Q, ls, c in lines}
     return [row for ls in (("E", "Ep") if side == "full" else (side,))
-            for row in conditions._ann_rows(b, dp, A, P, ls, forced.get((P, ls), 0) + 1)]
+            for row in conditions._ann_rows(b, d, A, P, ls, forced.get((P, ls), 0) + 1)]
 
 
 def _on_coords(b, D, blocks):

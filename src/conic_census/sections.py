@@ -32,13 +32,13 @@ class SectionSpace(Value):
 
 
 def _basis(b, D):
-    """The sections of O(D) in rref on the flat layout of (dp, A): the kernel of
+    """The sections of O(D) in rref on the flat layout of (d, A): the kernel of
     `_conditions`, zero at the conic multiples' pivots."""
     F = b.field
-    dp, A, _ = _layout(b, D)
+    d, A, _ = _layout(b, D)
     cols, ech, _ = conditions._conditions(b, D)
     at = {j: i for i, j in enumerate(cols)}
-    N = len(_monos(b, dp)) * (A + 1)  # negative, so no column, when A < 0
+    N = len(_monos(b, d)) * (A + 1)  # negative, so no column, when A < 0
     kernel = [[v[at[j]] if j in at else F.zero for j in range(N)]
               for v in conditions._nullspace(F, ech, len(cols))]
     return conditions._rref(F, kernel)[0]
@@ -47,8 +47,8 @@ def _basis(b, D):
 def section_space(b, D):
     """Basis of the sections of O(D) as canonical ambient representatives."""
     D = picard.normalize(b, D)
-    dp, A, _ = _layout(b, D)
-    monos = _monos(b, dp)
+    d, A, _ = _layout(b, D)
+    monos = _monos(b, d)
     sections = tuple(Section(D, {m: BinaryForm(A, tuple(v[i * (A + 1):(i + 1) * (A + 1)]))
                                  for i, m in enumerate(monos)})
                      for v in _basis(b, D))
@@ -61,8 +61,8 @@ def section_space(b, D):
 def component_multiplicity(b, s, P, side):
     """Largest power of the named component ideal containing the section."""
     F = b.field
-    dp, A, _ = _layout(b, s.cls)
-    monos = _monos(b, dp)
+    d, A, _ = _layout(b, s.cls)
+    monos = _monos(b, d)
     midx = {m: i for i, m in enumerate(monos)}
     flat = [F.zero] * (len(monos) * (A + 1))
     for m, form in s.ambient_coeffs.items():
@@ -71,14 +71,14 @@ def component_multiplicity(b, s, P, side):
                              f"the layout of monomials {monos} in degree {A}")
         flat[midx[m] * (A + 1):(midx[m] + 1) * (A + 1)] = form.coeffs
     # a multiple of the conic is the zero section on X
-    zrows = _z_source_rows(b, dp, A)
+    zrows = _z_source_rows(b, d, A)
     if all(c == F.zero for c in conditions._reduce_vec(F, *conditions._rref(F, zrows), flat)):
         raise ZeroSection("the zero section has no divisor")
-    guard = dp + A + 2
+    guard = d // 2 + A + 2
     k = 0
     while k <= guard:
         if any(conditions._dot(F, r, flat) != F.zero
-               for r in conditions._ann_rows(b, dp, A, P, side, k + 1)):
+               for r in conditions._ann_rows(b, d, A, P, side, k + 1)):
             return k
         k += 1
     raise AssertionError("valuation loop failed to terminate")

@@ -111,7 +111,7 @@ def ambient_basis(b, D):
     N = len(linsys.monomial_basis(D.dprime)) * (A + 1) if A >= 0 else 0
     zech, zpiv = conditions._rref(F, z_source_rows(b, D.dprime, A))
     cond = [row for P, side, c in D.parts
-            for row in conditions._ann_rows(b, D.dprime, A, P, "Ep" if side == "E" else "E", c)]
+            for row in conditions._ann_rows(b, 2 * D.dprime, A, P, "Ep" if side == "E" else "E", c)]
     kernel = conditions._nullspace(F, cond, N)
     basis, _ = conditions._rref(F, [conditions._reduce_vec(F, zech, zpiv, v) for v in kernel])
     return tuple(tuple(r) for r in basis)
@@ -126,11 +126,12 @@ def ruled_basis(b, D):
     return tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
 
 
-def full_ann_rows(b, dp, A, P, level):
+def full_ann_rows(b, d, A, P, level):
     """Rows whose joint kernel is p_P^level multiples plus conic multiples, on
-    the ambient layout of (dp, A) for every l: the reference for
+    the ambient layout of (d, A) for every l: the reference for
     `conditions._ann_rows` on a full fiber."""
     F = b.field
+    dp = d // 2
     monos = linsys.monomial_basis(dp)
     midx = {mm: i for i, mm in enumerate(monos)}
     N = len(monos) * (A + 1) if A >= 0 else 0
@@ -156,8 +157,8 @@ def full_ann_rows(b, dp, A, P, level):
     return tuple(tuple(r) for r in ech)
 
 
-def global_ann_rows(b, dp, A, P, side, level):
-    """Rows over F, in rref, whose joint kernel in the layout of (dp, A) is
+def global_ann_rows(b, d, A, P, side, level):
+    """Rows over F, in rref, whose joint kernel in the layout of (d, A) is
     (component ideal)^level plus the conic multiples, from one nullspace in
     all N = |monos|(A + 1) columns: the reference for `conditions._ann_rows`,
     full fibers and lines alike.
@@ -167,7 +168,7 @@ def global_ann_rows(b, dp, A, P, side, level):
     itself would also pin the conjugate lines; its annihilator over kappa(P)
     gives one row per coordinate of kappa(P) over F."""
     F = b.field
-    monos = linsys._monos(b, dp)
+    monos = linsys._monos(b, d)
     N = len(monos) * (A + 1) if A >= 0 else 0
     if N == 0:
         return ()
@@ -202,13 +203,13 @@ def global_ann_rows(b, dp, A, P, side, level):
                     nxt[MM] = K.add(nxt.get(MM, K.zero), K.mul(cm, cv))
             lpow.append(nxt)
         midx = {mm: i for i, mm in enumerate(monos)}
-        # p^i L^(level - i) times every monomial of degree dp - (level - i)
+        # p^i L^(level - i) times every monomial of degree d/2 - (level - i)
         terms = [(powers[i], [tuple((midx[(mc[0] + ml[0], mc[1] + ml[1], mc[2] + ml[2])], cl)
                                     for ml, cl in lpow[level - i].items())
-                              for mc in linsys.monomial_basis(dp - level + i)])
+                              for mc in linsys.monomial_basis(d // 2 - level + i)])
                  for i in range(level + 1)]
     emb = (lambda c: c) if K is F else K.embed
-    zrows = linsys._z_source_rows(b, dp, A)
+    zrows = linsys._z_source_rows(b, d, A)
     gens = [[emb(c) for c in r] for r in zrows]
     for pi, spots in terms:
         for spot in spots:
@@ -308,16 +309,16 @@ def zeta_truncated_exact(F, s, B):
     return Fraction(_LowestTerms(num, den))
 
 
-def scan_threshold_by_classes(b, cv, d):
+def scan_threshold_by_classes(b, d):
     """`linsys.scan_dimension_threshold` as it was on classes: each class of
     the type is built and sorted by `picard.classes_of_type`, its dim read
     from its echelon (`linsys._echelon_dim`, not the a0 table that the scan
-    and `linsys._dim` read) and its chi by `picard.euler_char` through the
-    pairing."""
+    and `linsys._dim` read) and its chi on P1 by `picard.euler_char` through
+    the pairing."""
     e_lo, e_hi = -(2 * d + 4), (d * b.l) // 2 + 2 * d + 8
     fail_at = None
     for e in range(e_hi, e_lo - 1, -1):
-        if any(linsys._echelon_dim(b, *picard.coords(b, D)) != picard.euler_char(b, cv, D)
+        if any(linsys._echelon_dim(b, *picard.coords(b, D)) != picard.euler_char(b, curve.P1_CURVE, D)
                for D in picard.classes_of_type(b, d, e)):
             fail_at = e
             break
@@ -332,12 +333,12 @@ def scan_threshold_by_classes(b, cv, d):
 def conditions_from_scratch(b, D):
     """`conditions._conditions` with every block of the class appended in turn to
     one new semi-echelon basis: no prefix echelon is read."""
-    dp, A, lines = linsys._layout(b, D)
+    d, A, lines = linsys._layout(b, D)
     ech, piv = [], []
     for P, side, c in lines:
-        for row in conditions._line_rows_on_cols(b, dp, A, P, side, c):
+        for row in conditions._line_rows_on_cols(b, d, A, P, side, c):
             conditions._append_row(b.field, ech, piv, row)
-    return linsys._cols(b, dp, A), ech, piv
+    return linsys._cols(b, d, A), ech, piv
 
 
 def k_const_by_twists(q, d, c1_degrees, c2_degrees):

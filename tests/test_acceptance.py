@@ -129,7 +129,7 @@ def test_02_canonical_class_pairings():
 
 def test_03_dimension_equals_euler_characteristic():
     for b in (b_trivial(), b_mixed(), b_double()):
-        nemp = linsys.scan_dimension_threshold(b, P1_CURVE, 2)
+        nemp = linsys.scan_dimension_threshold(b, 2)
         assert nemp == THRESHOLDS[b.l]
         twisted_seen = False
         for e in range(nemp, nemp + 5):
@@ -145,7 +145,7 @@ def test_04_sieve_proportions_exact_in_window():
     violations = []
     for b in (b_trivial(), b_mixed(), b_double()):
         q = b.field.order
-        e = linsys.scan_dimension_threshold(b, P1_CURVE, 2) + 4
+        e = linsys.scan_dimension_threshold(b, 2) + 4
         window = 4
         classes = classes_of_type(b, 2, e)
         universe = component_universe(b, window)
@@ -184,7 +184,7 @@ def test_05_direct_scan_matches_inclusion_exclusion():
     checked = 0
     for b in (b_trivial(), b_mixed(), b_double()):
         q = b.field.order
-        nemp = linsys.scan_dimension_threshold(b, P1_CURVE, 2)
+        nemp = linsys.scan_dimension_threshold(b, 2)
         for e in range(nemp, nemp + 9):
             for D in classes_of_type(b, 2, e):
                 dim = section_space(b, D).dim

@@ -160,6 +160,22 @@ def test_run_enumerate():
     assert row["classes"][0]["class"] == {"dprime": "1", "a": 1, "components": []}
 
 
+def test_run_enumerate_odd_degree_on_l0():
+    # half-integer dprime reaches a report only as its string; the counts are
+    # the bidegree (3, e/2) curves on P1 x P1
+    report, status = cli.run_report(parse(TRIVIAL, "enumerate", d=3, e_list=[2, 4]))
+    assert status == 0
+    res = report["results"]
+    assert res["N_emp"] == -2 and res["partial"] is False
+    assert res["heights"] == [
+        {"e": 2, "classes": [{"class": {"dprime": "3/2", "a": 1, "components": []}, "dim": 8}],
+         "M_f": 3120, "M": 1944},
+        {"e": 4, "classes": [{"class": {"dprime": "3/2", "a": 2, "components": []}, "dim": 12}],
+         "M_f": 252720, "M": 214488}]
+    want = oracles.p1_prime_counts(3, 3, 2)
+    assert [row["M"] for row in res["heights"]] == [want[3, 1], want[3, 2]]
+
+
 def test_run_enumerate_budget_partial():
     cfg = parse(TRIVIAL, "enumerate", d=2, e_list=[2, 8], budget=50000)
     report, status = cli.run_report(cfg)

@@ -201,7 +201,7 @@ def test_three_engines_agree_on_trivial_bundle():
         want = linsys.fiberfree_count(b0, D)
         basis = oracles.ambient_basis(b0, D)
         ambient_pool = [oracles.rows_on_basis(
-            F3, oracles.full_ann_rows(b0, D.dprime, D.a, P, 1), basis)
+            F3, oracles.full_ann_rows(b0, 2 * D.dprime, D.a, P, 1), basis)
             for P in curve.closed_points_up_to(F3, e // 2)]
         for pool, n in ((ambient_pool, len(basis)),
                         (subset_sum._component_pool(b0, D), linsys._dim(b0, D))):
@@ -371,6 +371,23 @@ def test_prime_d4_division_path_regression():
     assert linsys.prime_count(b_catalog_l1(gf.make_field(7)), 4, 2) == 17283
 
 
+def test_prime_count_builds_each_class_pairs_once(monkeypatch):
+    # the budget gate and the identity read one walk over a class's factor
+    # pairs: 2 classes of the type and 6 factor classes, each walked once
+    walked = Counter()
+    sub_classes = picard.sub_classes
+
+    def counted(b, *D):
+        walked[D] += 1
+        return sub_classes(b, *D)
+
+    monkeypatch.setattr(picard, "sub_classes", counted)
+    for memo in (linsys._dim_at, linsys._fiberfree, linsys._weighted, linsys._prime):
+        memo.cache_clear()
+    assert linsys.prime_count(b_mixed(), 4, 3) == 4656
+    assert len(walked) == 8 and set(walked.values()) == {1}, walked
+
+
 def _member_flats(F, basis):
     """(coords, flat) of every member of a basis (`sections._basis`), one per
     scalar class (leading coordinate 1), the flat built from the basis with
@@ -468,10 +485,10 @@ def test_product_multiplicities_are_additive():
 
 
 def test_scan_dimension_threshold_frozen():
-    assert linsys.scan_dimension_threshold(b_trivial(), curve.P1_CURVE, 2) == -2
-    assert linsys.scan_dimension_threshold(b_mixed(), curve.P1_CURVE, 2) == -1
+    assert linsys.scan_dimension_threshold(b_trivial(), 2) == -2
+    assert linsys.scan_dimension_threshold(b_mixed(), 2) == -1
     b2 = mk(F3, 2, (1, 0, 1), (0, 1, 0), (1, 0, 2))
-    assert linsys.scan_dimension_threshold(b2, curve.P1_CURVE, 2) == 1
+    assert linsys.scan_dimension_threshold(b2, 2) == 1
 
 
 def test_extension_field_fiberfree_counts_frozen():
@@ -503,11 +520,11 @@ def _gcd_fiber_free(b, D, flat):
     forms of full degree with no common factor (no full fiber contained), and
     no split line contained beyond the order the class's layout forces."""
     F = b.field
-    dp, A, lines = linsys._layout(b, D)
+    d, A, lines = linsys._layout(b, D)
     forced = {(P, side): c for P, side, c in lines}
     width = A + 1
     forms = [gf.poly_trim(F, flat[m * width:(m + 1) * width])
-             for m in range(len(linsys._monos(b, dp)))]
+             for m in range(len(linsys._monos(b, d)))]
     forms = [f for f in forms if f]
     if max(len(f) for f in forms) != width:
         return False
@@ -518,7 +535,7 @@ def _gcd_fiber_free(b, D, flat):
         return False
     for P in b.split_points:
         for side in ("E", "Ep"):
-            rows = conditions._ann_rows(b, dp, A, P, side, forced.get((P, side), 0) + 1)
+            rows = conditions._ann_rows(b, d, A, P, side, forced.get((P, side), 0) + 1)
             if all(conditions._dot(F, r, flat) == F.zero for r in rows):
                 return False
     return True

@@ -318,7 +318,7 @@ def test_sieve_proportions_have_maximal_rank():
     # heuristic's defect) or the conditions overflow the space entirely
     b1 = b_mixed()
     q = 3
-    n_emp = linsys.scan_dimension_threshold(b1, curve.P1_CURVE, 2)
+    n_emp = linsys.scan_dimension_threshold(b1, 2)
     checked_equal = checked_defect = checked_overflow = 0
     for e in (3, 4):
         window = e - n_emp
@@ -362,7 +362,7 @@ def test_full_at_split_point_matches_component_pair():
 def test_proportion_multiplicative_on_disjoint_sets():
     b1 = b_mixed()
     D = class_at(1, 2)
-    window = picard.type_of(b1, D)[1] - linsys.scan_dimension_threshold(b1, curve.P1_CURVE, 2)
+    window = picard.type_of(b1, D)[1] - linsys.scan_dimension_threshold(b1, 2)
     pieces = [component_set(b1, [(P_T1, "E")]), component_set(b1, [(P_T2, "full")])]
     union = component_set(b1, [(P_T1, "E"), (P_T2, "full")])
     assert pieces[0].height + pieces[1].height <= window
@@ -373,7 +373,7 @@ def test_proportion_multiplicative_on_disjoint_sets():
 def test_trivial_bundle_proportions_have_no_defect():
     b0 = b_trivial()
     D = class_at(1, 1)
-    window = 2 - linsys.scan_dimension_threshold(b0, curve.P1_CURVE, 2)
+    window = 2 - linsys.scan_dimension_threshold(b0, 2)
     universe = component_universe(b0, window)
     for items in [[x] for x in universe] + [[x, y] for i, x in enumerate(universe)
                                             for y in universe[i + 1:]]:
@@ -396,14 +396,14 @@ def _divisible_section(b, D, rng, P, k):
     """A section of the ruled model whose coefficient forms are random
     multiples of p_P^k, so its full-fiber valuation at P is at least k."""
     F = b.field
-    dp, A, _ = linsys._layout(b, D)
+    d, A, _ = linsys._layout(b, D)
     power = BinaryForm(0, (F.one,))
     for _ in range(k):
         power = bundle.bf_mul(F, power, bundle.point_form(F, P))
     rest = A - power.degree
     return Section(D, {m: bundle.bf_mul(F, power, BinaryForm(
         rest, tuple(rng.randrange(F.order) for _ in range(rest + 1))))
-                       for m in linsys._monos(b, dp)})
+                       for m in linsys._monos(b, d)})
 
 
 def test_one_builder_matches_the_old_constructions():
@@ -418,8 +418,8 @@ def test_one_builder_matches_the_old_constructions():
             for D in picard.classes_of_type(b, d, e):
                 _, A, _ = linsys._layout(b, D)
                 for P, level in itertools.product(points, (1, 2)):
-                    assert (conditions._ann_rows(b, D.dprime, A, P, "full", level)
-                            == oracles.full_ann_rows(b, D.dprime, A, P, level)), (D, P, level)
+                    assert (conditions._ann_rows(b, d, A, P, "full", level)
+                            == oracles.full_ann_rows(b, d, A, P, level)), (D, P, level)
                     checked += 1
     b0 = b_trivial()
     rng = random.Random(5)
@@ -428,7 +428,7 @@ def test_one_builder_matches_the_old_constructions():
             D = picard.normalize(b0, D)
             for P in points:
                 want = conditions._rref(F3, oracles.param_full_rows(b0, D, P))[0]
-                assert conditions._ann_rows(b0, D.dprime, D.a, P, "full", 1) == tuple(map(tuple, want))
+                assert conditions._ann_rows(b0, d, D.a, P, "full", 1) == tuple(map(tuple, want))
                 checked += 1
             _, A, _ = linsys._layout(b0, D)
             if section_space(b0, D).dim == 0:
@@ -537,8 +537,8 @@ def test_residue_rows_match_global_nullspace(make, components):
             range(5), range(-1, 7), components, (1, 2)):
         if side != "full" and P.degree > 1 and dp > 2:
             continue
-        want = _outcome(oracles.global_ann_rows, b, dp, A, P, side, level)
-        got = _outcome(conditions._ann_rows, b, dp, A, P, side, level)
+        want = _outcome(oracles.global_ann_rows, b, 2 * dp, A, P, side, level)
+        got = _outcome(conditions._ann_rows, b, 2 * dp, A, P, side, level)
         assert got == want, (dp, A, P, side, level)
         checked += 1
     assert checked >= 60
@@ -552,21 +552,21 @@ def test_cols_are_the_columns_off_the_conic_multiples_rref_pivots(make):
     # oracle echelonizes the conic multiples in all N columns
     b = make()
     checked = 0
-    for dp, A in itertools.product(range(7), range(-2, 17)):
-        if b.l == 0:
-            dp = Fraction(dp, 2)
-        N = len(linsys._monos(b, dp)) * (A + 1)
-        pivots = set(conditions._rref(b.field, linsys._z_source_rows(b, dp, A))[1])
-        assert linsys._cols(b, dp, A) == tuple(j for j in range(N) if j not in pivots), (dp, A)
+    for d, A in itertools.product(range(7), range(-2, 17)):
+        if b.l:
+            d *= 2
+        N = len(linsys._monos(b, d)) * (A + 1)
+        pivots = set(conditions._rref(b.field, linsys._z_source_rows(b, d, A))[1])
+        assert linsys._cols(b, d, A) == tuple(j for j in range(N) if j not in pivots), (d, A)
         checked += bool(pivots)
     assert checked >= (30 if b.l else 0)
 
 
 def test_cols_refuses_conic_multiples_with_one_leading_column(monkeypatch):
     row = (0, 1, 2, 0)
-    monkeypatch.setattr(linsys, "_z_source_rows", lambda b, dp, A: (row, row))
+    monkeypatch.setattr(linsys, "_z_source_rows", lambda b, d, A: (row, row))
     with pytest.raises(AssertionError, match="lead at one column"):
-        linsys._cols.__wrapped__(b_mixed(), 2, 1)
+        linsys._cols.__wrapped__(b_mixed(), 4, 1)
 
 
 def test_ann_rows_refuse_rows_that_miss_a_conic_multiple(monkeypatch):
@@ -583,12 +583,12 @@ def test_ann_rows_refuse_rows_that_miss_a_conic_multiple(monkeypatch):
     conditions._ann_rows.cache_clear()
     for P, side in ((P_T1, "E"), (P_INF, "full")):
         with pytest.raises(AssertionError, match="conic multiples escaped the condition kernel"):
-            conditions._ann_rows(b_mixed(), 2, 3, P, side, 1)
+            conditions._ann_rows(b_mixed(), 4, 3, P, side, 1)
 
 
 def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
     # the elimination runs in |monos| deg pi columns whatever A is: 30 for
-    # dprime 4 (15 monomials) and deg pi 2, where the layout has 615 columns
+    # d = 8 (15 monomials) and deg pi 2, where the layout has 615 columns
     seen = []
     nullspace = conditions._nullspace
 
@@ -601,7 +601,7 @@ def test_residue_rows_eliminate_in_residue_columns(monkeypatch):
     b = b_mixed()
     for P, side, level in ((P_T1, "E", 2), (P_INF, "full", 2), (P_T2_1, "full", 1)):
         seen.clear()
-        rows = conditions._ann_rows(b, 4, 40, P, side, level)
+        rows = conditions._ann_rows(b, 8, 40, P, side, level)
         assert rows and seen and all(0 < n <= 15 * 2 for n in seen), (P, side, seen)
         assert all(len(r) == 15 * 41 for r in rows)
 
@@ -615,7 +615,7 @@ def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
     for module, name in ((sections, "_basis"), (picard, "class_from_canonical"),
                          (picard, "euler_char")):
         monkeypatch.setattr(module, name, refuse)
-    assert linsys.scan_dimension_threshold(make(), curve.P1_CURVE, d) == want
+    assert linsys.scan_dimension_threshold(make(), d) == want
 
 
 @pytest.mark.parametrize("make, degrees", [
@@ -626,8 +626,8 @@ def test_threshold_scan_builds_no_model(monkeypatch, make, d, want):
 def test_threshold_scan_matches_the_scan_over_classes(make, degrees):
     b = make()
     for d in degrees:
-        want = oracles.scan_threshold_by_classes(b, curve.P1_CURVE, d)
-        assert linsys.scan_dimension_threshold(b, curve.P1_CURVE, d) == want, d
+        want = oracles.scan_threshold_by_classes(b, d)
+        assert linsys.scan_dimension_threshold(b, d) == want, d
 
 
 SCANNED = [b_mixed, b_double, lambda: b_catalog_l1(F5), lambda: b_catalog_l1(F9), b_f25_l2,
@@ -638,21 +638,20 @@ SCANNED_IDS = ["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2", "F27-l
 
 @pytest.mark.parametrize("make", SCANNED, ids=SCANNED_IDS)
 def test_dim_equal_to_chi_persists_as_a_rises(make):
-    # ROADMAP item 18: h^1 = dim - chi never rises with a at fixed (dp, cs), so
+    # ROADMAP item 18: h^1 = dim - chi never rises with a at fixed (d, cs), so
     # dim = chi at a gives dim = chi at a + 1.  Proven for the model's dims on
-    # l = 0 and at dp <= 1; at dp = 2 on l >= 1 it is only measured, since the
+    # l = 0 and at d <= 2; at d = 4 on l >= 1 it is only measured, since the
     # model lacks item 2's H^1 kernel at A <= l - 2.  `_a0` and the threshold
     # scan rest on it, so a change to the model that breaks it must fail here
     b = make()
     for d in (2, 4):
-        dp = picard.half_degree(b, d)
-        for cs in picard.twist_box(b, dp):
-            h = picard.height(b, dp, 0, cs)
-            start = -(linsys._chi(b, dp, 0, cs) // (d + 1))  # the least a with chi >= 0
-            held = [linsys._echelon_dim(b, dp, a, cs) == linsys._chi(b, dp, a, cs)
+        for cs in picard.twist_box(b, d):
+            h = picard.height(b, d, 0, cs)
+            start = -(linsys._chi(b, d, 0, cs) // (d + 1))  # the least a with chi >= 0
+            held = [linsys._echelon_dim(b, d, a, cs) == linsys._chi(b, d, a, cs)
                     for a in range(start, (16 - h) // 2 + 2)]  # heights up to 16, and a + 1
             assert held == sorted(held), (
-                f"dim = chi at some a but not at a + 1 for dp = {dp}, cs = {cs} "
+                f"dim = chi at some a but not at a + 1 for d = {d}, cs = {cs} "
                 f"(from a = {start}: {held}); the a0 table and the threshold scan assume it")
 
 
@@ -666,9 +665,9 @@ def test_threshold_scan_builds_an_echelon_per_twist_tuple(monkeypatch):
     echelon_dim = linsys._echelon_dim
     monkeypatch.setattr(linsys, "_echelon_dim", lambda *X: built.append(X) or echelon_dim(*X))
     linsys._a0.cache_clear()
-    assert linsys.scan_dimension_threshold(b, curve.P1_CURVE, 2) == 1
-    box = list(picard.twist_box(b, 1))
-    below = sum(linsys._a0(b, 1, cs) + linsys._chi(b, 1, 0, cs) // 3 for cs in box)
+    assert linsys.scan_dimension_threshold(b, 2) == 1
+    box = list(picard.twist_box(b, 2))
+    below = sum(linsys._a0(b, 2, cs) + linsys._chi(b, 2, 0, cs) // 3 for cs in box)
     assert len(built) == len(box) + below == 81
 
 
@@ -678,32 +677,32 @@ def test_threshold_scan_builds_an_echelon_per_twist_tuple(monkeypatch):
     (b_trivial, (0, 1, 2, 3, 4))],
     ids=["F3-l1-mixed", "F3-l2-double", "F5-l1", "F9-l1", "F25-l2", "F27-l1", "F3-l0-trivial"])
 def test_dim_memo_reads_chi_where_the_echelon_gives_it(make, degrees):
-    # `_dim_at` returns chi at a >= a0 on l = 0 and at dp <= 1.  On every
+    # `_dim_at` returns chi at a >= a0 on l = 0 and at d <= 2.  On every
     # class up to e = 30, and on its shifts by E_P and E'_P that the sieve
-    # reads (|c_P| up to dp + 1), it equals the echelon dim
+    # reads (|c_P| up to d/2 + 1), it equals the echelon dim
     b = make()
     linsys._dim_at.cache_clear()
     by_chi = 0
     for d in degrees:
         for e in range(-(2 * d + 4), 31):
-            for dp, a, cs in picard.canonical_of_type(b, d, e):
+            for _, a, cs in picard.canonical_of_type(b, d, e):
                 shifted = [(a + da, cs[:i] + (cs[i] + dc,) + cs[i + 1:])
                            for i, P in enumerate(b.split_points)
                            for da, dc in ((0, -1), (-P.degree, 1))]
                 for a2, cs2 in [(a, cs), *shifted]:
-                    want = linsys._echelon_dim(b, dp, a2, cs2)
-                    assert linsys._dim_at(b, dp, a2, cs2) == want, (dp, a2, cs2)
-                    by_chi += a2 >= linsys._a0(b, dp, cs2)
+                    want = linsys._echelon_dim(b, d, a2, cs2)
+                    assert linsys._dim_at(b, d, a2, cs2) == want, (d, a2, cs2)
+                    by_chi += a2 >= linsys._a0(b, d, cs2)
     assert by_chi >= 60
 
 
 def test_dim_memo_takes_the_echelon_outside_the_twist_box():
-    # at |c_P| = dp + 2 the fiber restriction has a line of degree -2, so h^1
+    # at |c_P| = d/2 + 2 the fiber restriction has a line of degree -2, so h^1
     # stays 1 at every a and no a0 exists: a step-up would never end
     b = b_mixed()
-    assert linsys._a0(b, 1, (3,)) == math.inf
-    assert [linsys._dim_at(b, 1, a, (3,)) - linsys._chi(b, 1, a, (3,)) for a in (4, 9)] == [1, 1]
-    assert linsys._dim(b, class_at(1, 9, {P_T1: 3})) == linsys._echelon_dim(b, 1, 9, (3,))
+    assert linsys._a0(b, 2, (3,)) == math.inf
+    assert [linsys._dim_at(b, 2, a, (3,)) - linsys._chi(b, 2, a, (3,)) for a in (4, 9)] == [1, 1]
+    assert linsys._dim(b, class_at(1, 9, {P_T1: 3})) == linsys._echelon_dim(b, 2, 9, (3,))
 
 
 def test_prime_count_keeps_its_values_with_chi_dims():

@@ -229,3 +229,20 @@ def test_decompositions_match_the_former_walk(b):
                 assert picard.decompositions(b, D) == oracles.decompositions(b, D), (d, e, D)
                 checked += 1
     assert checked >= 30
+
+
+@pytest.mark.parametrize("F", [F3, F5], ids=["F3", "F5"])
+def test_odd_degree_coordinates_are_ints_on_l0(F):
+    # coordinates carry the fiber degree d = 2 dprime as an int; a half-integer
+    # dprime appears only on the class that `from_coords` builds
+    b = mk(F, 0, (F.one,), (F.one,), (F.neg(F.one),))
+    checked = 0
+    for d in (1, 3, 5):
+        for e in range(0, 9, 2):
+            for D in picard.canonical_of_type(b, d, e):
+                for X in [D, *(X for pair in picard.sub_classes(b, *D) for X in pair)]:
+                    x, a, cs = X
+                    assert all(type(v) is int for v in (x, a, *cs)), X
+                    assert picard.from_coords(b, X).dprime == Fraction(x, 2), X
+                    checked += 1
+    assert checked >= 100

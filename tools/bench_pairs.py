@@ -33,8 +33,7 @@ from pathlib import Path
 
 TRACE_METRICS = ("cli.run_report_s", "linsys.threshold_s", "linsys.self_s",
                  "linsys.prime_count_s", "picard.self_s", "picard.classes_of_type_calls",
-                 "picard.decompositions_calls", "check.known_defects_open",
-                 "trace.overhead_ratio")
+                 "check.known_defects_open", "trace.overhead_ratio")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
 # one line of pytest's durations section: "0.36s call     tests/x.py::test_y"
 DURATION = re.compile(r"(\d+\.\d+)s (setup|call|teardown) +(.+)$")
